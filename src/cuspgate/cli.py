@@ -39,7 +39,7 @@ from .searches import (
     search_neumann_setzer,
     verify_z2z4_classification,
 )
-from .tate import conductor, tate_algorithm
+from .tate import tate_algorithm
 
 _BIG = 2**53
 
@@ -263,7 +263,6 @@ def _cmd_conductor(args) -> dict:
         n *= p**res.f
         if res.f:
             local.append({"f": res.f, "kodaira": res.kodaira, "p": p})
-    assert n == conductor(e)
     return {"conductor": n, "local": local}
 
 
@@ -280,6 +279,16 @@ def _cmd_curve_transform(args) -> dict:
 
 
 # -- parser ------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
@@ -332,7 +341,7 @@ def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(_SEARCHES), required=True)
     p.add_argument("--bound", type=int, required=True, help="k_max for 2p, p_max for 8p")
     p.add_argument("--difference", type=int, default=8, help="4pq only: gap 4 or 8")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=_positive_int, default=default_jobs)
     p.add_argument("--csv", action="store_true", help="emit CSV rows instead of JSON")
 
     p = add("tate", _cmd_tate, "reduction type of an integral model at p")
@@ -357,9 +366,10 @@ def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        default_jobs = int(os.environ.get("CUSPGATE_JOBS", "1"))
-    except ValueError:
-        default_jobs = 1
+        default_jobs = _positive_int(os.environ.get("CUSPGATE_JOBS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        print(f"cuspgate: error: CUSPGATE_JOBS: {exc}", file=sys.stderr)
+        return 2
     parser = _build_parser(default_jobs)
     args = parser.parse_args(argv)
     handler = args.handler

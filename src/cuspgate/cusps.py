@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factor, num
-from .lattice import kernel_basis, lattice_index, smith_normal_form
+from .lattice import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -248,23 +248,17 @@ def _congruence_rows(level: SquarefreeLevel) -> tuple[list[list[int]], int]:
 def cuspidal_group_structure(level: SquarefreeLevel) -> tuple[int, ...]:
     """Elementary divisors (d1 | d2 | ...) of the cuspidal subgroup.
 
-    Computed as Z^(2^t - 1) modulo the principal sublattice, via an
-    integer kernel of the congruence system and Smith reduction; the
-    divisor product is cross-checked against the Hermite-form index.
+    The group is Z^dim modulo the principal sublattice
+    L = {x : C x = 0 (mod D)}, dim = 2^t - 1, with C, D from
+    `_congruence_rows`.  So Z^dim / L is the image C Z^dim mod D, which is
+    the sum of Z/(D / gcd(c_i, D)) over the Smith invariants c_i of C
+    (c_i = 0 past the rank gives a trivial factor).  `smith_normal_form`
+    returns exactly those gcd(c_i, D).
     """
     if level.t > 6:
         raise ValueError("group structure is limited to levels with at most 6 primes")
     rows, D = _congruence_rows(level)
-    dim = (1 << level.t) - 1
-    augmented = [row + [D if i == r else 0 for i in range(len(rows))] for r, row in enumerate(rows)]
-    gens = [vec[:dim] for vec in kernel_basis(augmented, dim + len(rows))]
-    diag = smith_normal_form(gens)
-    assert len(diag) == dim and all(d != 0 for d in diag), "principal sublattice must have finite index"
-    order = 1
-    for d in diag:
-        order *= d
-    assert order == lattice_index(gens, dim)
-    return tuple(d for d in diag if d > 1)
+    return tuple(sorted(D // g for g in smith_normal_form(rows, D) if g != D))
 
 
 def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:

@@ -1,141 +1,89 @@
-"""Integer-lattice normal forms: Hermite/Smith reduction and kernels.
+"""Smith invariants of an integer matrix modulo a fixed modulus.
 
-All matrices are lists of row lists of Python ints; everything is exact.
-Sizes here stay small (dimension <= 2**6), so the textbook algorithms with
-smallest-pivot selection are plenty.
+For rows spanning a lattice L in Z^n, the group Z^n / (L + m Z^n) has
+invariant factors gcd(d_i, m), where d_1 | d_2 | ... is the Smith diagonal
+of the rows over Z (d_i = 0 past the rank).  Since m Z^n is in the
+submodule, every entry can be reduced mod m after every step, so no entry
+ever exceeds m; integer Smith reduction without that bound blows up on
+the cuspidal congruence systems (Domich-Kannan-Trotter 1987; Cohen, GTM
+138, section 2.4).
 """
 
 from __future__ import annotations
 
+import math
 
-def row_hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form; returns the nonzero rows.
 
-    The returned rows are a basis (in echelon form, positive pivots,
-    entries above each pivot reduced) of the lattice generated by the
-    input rows.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a > 0 and b >= 0.
+
+    When a divides b this is (a, 1, 0), so a pivot that already divides
+    an entry stays in place and the entry is eliminated.
     """
-    A = [list(r) for r in rows]
-    if not A:
-        return []
-    m, n = len(A), len(A[0])
-    piv = 0
-    pivot_cols = []
-    for col in range(n):
-        if piv >= m:
-            break
-        # collapse column `col` (rows piv..m-1) into a single nonzero entry
-        while True:
-            nz = [r for r in range(piv, m) if A[r][col] != 0]
-            if not nz:
-                break
-            r0 = min(nz, key=lambda r: abs(A[r][col]))
-            A[piv], A[r0] = A[r0], A[piv]
-            done = True
-            for r in range(piv + 1, m):
-                if A[r][col] != 0:
-                    q = A[r][col] // A[piv][col]
-                    for j in range(n):
-                        A[r][j] -= q * A[piv][j]
-                    if A[r][col] != 0:
-                        done = False
-            if done:
-                break
-        if piv < m and A[piv][col] != 0:
-            if A[piv][col] < 0:
-                A[piv] = [-x for x in A[piv]]
-            # reduce entries above the pivot
-            for r in range(piv):
-                q = A[r][col] // A[piv][col]
-                if q:
-                    for j in range(n):
-                        A[r][j] -= q * A[piv][j]
-            pivot_cols.append(col)
-            piv += 1
-    return [row for row in A[:piv]]
+    if b % a == 0:
+        return a, 1, 0
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
-def kernel_basis(mat: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of {x in Z^ncols : mat @ x = 0} (mat given as rows)."""
-    nrows = len(mat)
-    # rows of [mat^T | I]: integer combos are ((mat @ x)^T, x)
-    aug = []
-    for j in range(ncols):
-        aug.append([mat[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)])
-    reduced = row_hnf(aug)
-    return [row[nrows:] for row in reduced if all(v == 0 for v in row[:nrows])]
+def smith_normal_form(rows: list[list[int]], modulus: int) -> list[int]:
+    """Invariant factors g_1 | g_2 | ... | g_n of Z^n / (row lattice + modulus Z^n).
 
-
-def smith_normal_form(mat: list[list[int]]) -> list[int]:
-    """Diagonal d1 | d2 | ... of the Smith normal form (nonneg ints)."""
-    A = [list(r) for r in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
+    One factor per column (n = row length), each a divisor of `modulus`:
+    g_i = gcd(d_i, modulus) for the integer Smith diagonal d_i.  Every row
+    and column operation is unimodular over Z and keeps entries in
+    [0, modulus).
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    m = modulus
+    A = [[x % m for x in row] for row in rows]
+    n = len(A[0]) if A else 0
+    A = [row for row in A if any(row)]
     diag = []
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero pivot in the trailing submatrix
-        pr = pc = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if pr is None:
-            break
-        A[t], A[pr] = A[pr], A[t]
-        for row in A:
-            row[t], row[pc] = row[pc], row[t]
-        while True:
-            changed = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    for j in range(t, n):
-                        A[i][j] -= q * A[t][j]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        changed = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for i in range(t, m):
-                        A[i][j] -= q * A[i][t]
-                    if A[t][j]:
-                        for i in range(t, m):
-                            A[i][t], A[i][j] = A[i][j], A[i][t]
-                        changed = True
-            if changed:
-                continue
-            # pivot must divide every remaining entry
-            bad = None
-            for i in range(t + 1, m):
-                if any(A[i][j] % A[t][t] for j in range(t + 1, n)):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            for j in range(t, n):
-                A[t][j] += A[bad][j]
-        diag.append(abs(A[t][t]))
-        t += 1
+    while A:
+        # pivot: the entry that generates the largest ideal mod m
+        _, pr, pc = min((math.gcd(v, m), i, j) for i, row in enumerate(A) for j, v in enumerate(row) if v)
+        A[0], A[pr] = A[pr], A[0]
+        # clear the pivot's column and row; a pass that leaves work behind
+        # has lowered the pivot (it stays in [1, m)), so this terminates
+        cleared = False
+        while not cleared:
+            cleared = True
+            piv = A[0]
+            for row in A[1:]:
+                b = row[pc]
+                if b:
+                    a = piv[pc]
+                    g, x, y = _xgcd(a, b)
+                    u, v = a // g, b // g
+                    piv[:], row[:] = (
+                        [(x * p + y * r) % m for p, r in zip(piv, row)],
+                        [(u * r - v * p) % m for p, r in zip(piv, row)],
+                    )
+            for j in range(len(piv)):
+                b = piv[j]
+                if j != pc and b:
+                    a = piv[pc]
+                    g, x, y = _xgcd(a, b)
+                    u, v = a // g, b // g
+                    for row in A:
+                        p, r = row[pc], row[j]
+                        row[pc], row[j] = (x * p + y * r) % m, (u * r - v * p) % m
+                    cleared = False
+        diag.append(math.gcd(A[0][pc], m))
+        A = [row[:pc] + row[pc + 1 :] for row in A[1:]]
+        A = [row for row in A if any(row)]
+    diag += [m] * (n - len(diag))
+    # Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b): sort the cyclic factors into a chain
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g = math.gcd(a, b)
+            diag[i], diag[j] = g, a // g * b
     return diag
-
-
-def lattice_index(generators: list[list[int]], dim: int) -> int:
-    """Index [Z^dim : L] for the lattice L spanned by the generator rows.
-
-    Requires L to have full rank (raises otherwise); equals |det| of any
-    basis, read off the Hermite form.
-    """
-    basis = row_hnf(generators)
-    if len(basis) != dim:
-        raise ValueError("lattice does not have full rank")
-    det = 1
-    for i, row in enumerate(basis):
-        # pivots sit on the diagonal exactly when rank == dim
-        pivot = next((v for v in row if v != 0), 0)
-        assert pivot > 0 and row[i] == pivot
-        det *= pivot
-    return det

@@ -9,6 +9,7 @@ to the single-process run.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -39,6 +40,9 @@ def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def _run_scan(worker, lo: int, hi: int, jobs: int, *args) -> list[SearchHit]:
+    # more processes than CPUs only adds start-up cost, and an unbounded
+    # count can exhaust the machine's process table
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return worker(lo, hi, *args)
     out: list[SearchHit] = []

@@ -1,0 +1,163 @@
+"""Unbounded integer lattice algorithms, kept as test oracles.
+
+Row Hermite form, integer kernels, Smith reduction over Z and the Hermite
+index: the chain `cuspidal_group_structure` used before it switched to one
+Smith reduction modulo D.  Entries grow without bound, so these only finish
+on small inputs; the suite compares the library against them there.
+"""
+
+from __future__ import annotations
+
+
+def row_hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form; returns the nonzero rows.
+
+    The returned rows are a basis (in echelon form, positive pivots,
+    entries above each pivot reduced) of the lattice generated by the
+    input rows.
+    """
+    A = [list(r) for r in rows]
+    if not A:
+        return []
+    m, n = len(A), len(A[0])
+    piv = 0
+    pivot_cols = []
+    for col in range(n):
+        if piv >= m:
+            break
+        # collapse column `col` (rows piv..m-1) into a single nonzero entry
+        while True:
+            nz = [r for r in range(piv, m) if A[r][col] != 0]
+            if not nz:
+                break
+            r0 = min(nz, key=lambda r: abs(A[r][col]))
+            A[piv], A[r0] = A[r0], A[piv]
+            done = True
+            for r in range(piv + 1, m):
+                if A[r][col] != 0:
+                    q = A[r][col] // A[piv][col]
+                    for j in range(n):
+                        A[r][j] -= q * A[piv][j]
+                    if A[r][col] != 0:
+                        done = False
+            if done:
+                break
+        if piv < m and A[piv][col] != 0:
+            if A[piv][col] < 0:
+                A[piv] = [-x for x in A[piv]]
+            # reduce entries above the pivot
+            for r in range(piv):
+                q = A[r][col] // A[piv][col]
+                if q:
+                    for j in range(n):
+                        A[r][j] -= q * A[piv][j]
+            pivot_cols.append(col)
+            piv += 1
+    return [row for row in A[:piv]]
+
+
+def kernel_basis(mat: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of {x in Z^ncols : mat @ x = 0} (mat given as rows)."""
+    nrows = len(mat)
+    # rows of [mat^T | I]: integer combos are ((mat @ x)^T, x)
+    aug = []
+    for j in range(ncols):
+        aug.append([mat[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)])
+    reduced = row_hnf(aug)
+    return [row[nrows:] for row in reduced if all(v == 0 for v in row[:nrows])]
+
+
+def smith_normal_form(mat: list[list[int]]) -> list[int]:
+    """Diagonal d1 | d2 | ... of the Smith normal form (nonneg ints)."""
+    A = [list(r) for r in mat]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    diag = []
+    t = 0
+    while t < min(m, n):
+        # smallest nonzero pivot in the trailing submatrix
+        pr = pc = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(A[i][j])
+                if v and (best is None or v < best):
+                    best, pr, pc = v, i, j
+        if pr is None:
+            break
+        A[t], A[pr] = A[pr], A[t]
+        for row in A:
+            row[t], row[pc] = row[pc], row[t]
+        while True:
+            changed = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    for j in range(t, n):
+                        A[i][j] -= q * A[t][j]
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        changed = True
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    for i in range(t, m):
+                        A[i][j] -= q * A[i][t]
+                    if A[t][j]:
+                        for i in range(t, m):
+                            A[i][t], A[i][j] = A[i][j], A[i][t]
+                        changed = True
+            if changed:
+                continue
+            # pivot must divide every remaining entry
+            bad = None
+            for i in range(t + 1, m):
+                if any(A[i][j] % A[t][t] for j in range(t + 1, n)):
+                    bad = i
+                    break
+            if bad is None:
+                break
+            for j in range(t, n):
+                A[t][j] += A[bad][j]
+        diag.append(abs(A[t][t]))
+        t += 1
+    return diag
+
+
+def lattice_index(generators: list[list[int]], dim: int) -> int:
+    """Index [Z^dim : L] for the lattice L spanned by the generator rows.
+
+    Requires L to have full rank (raises otherwise); equals |det| of any
+    basis, read off the Hermite form.
+    """
+    basis = row_hnf(generators)
+    if len(basis) != dim:
+        raise ValueError("lattice does not have full rank")
+    det = 1
+    for i, row in enumerate(basis):
+        # pivots sit on the diagonal exactly when rank == dim
+        pivot = next((v for v in row if v != 0), 0)
+        assert pivot > 0 and row[i] == pivot
+        det *= pivot
+    return det
+
+
+def kernel_group_structure(rows: list[list[int]], modulus: int) -> tuple[int, ...]:
+    """Invariant factors > 1 of Z^n / {x : rows @ x = 0 (mod modulus)}.
+
+    The former library path: an integer kernel of [rows | modulus*I],
+    Smith reduction of its generators, and the Hermite index as a check
+    on the group order.
+    """
+    dim = len(rows[0])
+    augmented = [row + [modulus if i == r else 0 for i in range(len(rows))] for r, row in enumerate(rows)]
+    gens = [vec[:dim] for vec in kernel_basis(augmented, dim + len(rows))]
+    diag = smith_normal_form(gens)
+    if len(diag) != dim or 0 in diag:
+        raise ValueError("the congruence lattice must have finite index")
+    order = 1
+    for d in diag:
+        order *= d
+    if order != lattice_index(gens, dim):
+        raise ValueError("Smith diagonal and Hermite index disagree")
+    return tuple(d for d in diag if d > 1)

@@ -6,6 +6,7 @@ doubles as the go/no-go checklist for the whole package.
 """
 
 import itertools
+import math
 import json
 import random
 import subprocess
@@ -70,6 +71,26 @@ def test_criterion_02_group_structures():
     assert cuspidal_group_structure(SquarefreeLevel.of(11)) == (5,)
     assert cuspidal_group_structure(SquarefreeLevel.of(67)) == (11,)
     print("PASS criterion 2: cuspidal groups at N = 11, 67 are Z/5, Z/11")
+
+
+def test_criterion_02b_group_structures_at_many_primes():
+    """Levels with 3 to 6 primes finish, 1634 = 2*19*43 and 30030 among them;
+    each structure is a divisor chain whose exponent is the lcm of the
+    orders of the generators P_d - P_1."""
+    levels = (858, 910, 1122, 1302, 1326, 1410, 1430, 1634, 1794, 1806, 2002, 2145, 2170, 2310, 30030)
+    with budget(2) as clock:
+        structures = {n: cuspidal_group_structure(SquarefreeLevel.of(n)) for n in levels}
+        for n, struct in structures.items():
+            assert all(b % a == 0 for a, b in zip(struct, struct[1:])), n
+            level = SquarefreeLevel.of(n)
+            exponent = 1
+            for d in level.divisors[1:]:
+                order = divisor_order(CuspDivisor.from_map(level, {d: 1, 1: -1}))
+                exponent = exponent * order // math.gcd(exponent, order)
+            assert struct[-1] == exponent, n
+    assert structures[1634] == (3, 21, 6930, 6930, 83160)
+    assert structures[858] == (2, 2, 10, 840, 840, 840, 840, 840, 10080, 20160)
+    print(f"PASS criterion 2b: {len(levels)} cuspidal groups with 3 to 6 primes in {clock.elapsed:.2f}s")
 
 
 def test_criterion_03_eta_acceptance_equals_principality():

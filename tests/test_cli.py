@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from cuspgate.cli import main
+from cuspgate.curves import WeierstrassModel
+from cuspgate.tate import conductor
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +27,13 @@ def test_cusp_group(capsys):
     assert doc["input"]["level"] == 11
     assert doc["result"]["invariants"] == [5]
     assert doc["result"]["order"] == 5
+
+
+@pytest.mark.parametrize("level", [858, 2310])
+def test_cusp_group_many_primes(capsys, level):
+    doc = run_json(capsys, "cusp-group", "--level", str(level))
+    invariants = doc["result"]["invariants"]
+    assert all(b % a == 0 for a, b in zip(invariants, invariants[1:]))
 
 
 def test_cusp_order_signs(capsys):
@@ -131,6 +140,16 @@ def test_conductor(capsys):
         {"f": 1, "kodaira": "I2", "p": 3},
         {"f": 1, "kodaira": "I2", "p": 5},
     ]
+    for coeffs in [
+        (0, -1, 1, -10, -20),
+        (1, 4, 0, 1, 0),
+        (1, 1, 0, 2, 0),
+        (0, 0, 0, 0, 1),
+        (1, -1, 0, -2, -1),
+        (0, 0, 1, 0, -7),
+    ]:
+        doc = run_json(capsys, "conductor", "--curve", ",".join(map(str, coeffs)))
+        assert doc["result"]["conductor"] == conductor(WeierstrassModel(*coeffs))
 
 
 def test_torsion2(capsys):
@@ -202,6 +221,19 @@ def test_jobs_flag_and_env(capsys, monkeypatch):
     env_run = run_json(capsys, "search", "--family", "8p", "--bound", "120")
     assert env_run["input"]["jobs"] == 2
     assert env_run["result"] == serial["result"]
+
+
+def test_jobs_must_be_positive(capsys, monkeypatch):
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--family", "8p", "--bound", "120", "--jobs", bad])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+    for bad in ("0", "-1", "lots", ""):
+        monkeypatch.setenv("CUSPGATE_JOBS", bad)
+        code, out, err = run_cli(capsys, "search", "--family", "8p", "--bound", "120")
+        assert code == 2 and out == ""
+        assert "CUSPGATE_JOBS" in err
 
 
 def test_output_keys_are_sorted(capsys):

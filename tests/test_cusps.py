@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspgate.arith import factor
 from cuspgate.cusps import (
     CuspDivisor,
     EtaVector,
     SquarefreeLevel,
+    _congruence_rows,
     apply_2_old_projection,
     cuspidal_group_structure,
     divisor_order,
@@ -16,6 +18,7 @@ from cuspgate.cusps import (
     lambda_inverse,
     ogg_order,
 )
+from lattice_oracle import kernel_group_structure
 
 levels = st.sampled_from([2, 3, 11, 14, 15, 17, 30, 35, 66, 105])
 
@@ -169,6 +172,21 @@ def test_group_structure_frozen():
     }
     for n, struct in expected.items():
         assert cuspidal_group_structure(SquarefreeLevel.of(n)) == struct
+
+
+def test_group_structure_matches_kernel_oracle():
+    """One Smith reduction mod D gives what the integer kernel -> Smith ->
+    Hermite-index chain gives, wherever that chain finishes below 2310."""
+    # entries of the integer chain blow up at these levels
+    unbounded = {858, 910, 1122, 1302, 1326, 1410, 1430, 1634, 1794, 1806, 2002, 2145, 2170}
+    checked = 0
+    for n in range(2, 2310):
+        if n in unbounded or not factor(n).is_squarefree():
+            continue
+        level = SquarefreeLevel.of(n)
+        assert cuspidal_group_structure(level) == kernel_group_structure(*_congruence_rows(level)), n
+        checked += 1
+    assert checked == 1390
 
 
 def test_group_structure_vs_element_enumeration():

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspgate.lattice import kernel_basis, lattice_index, row_hnf, smith_normal_form
+from cuspgate.lattice import smith_normal_form as modular_snf
+from lattice_oracle import kernel_basis, lattice_index, row_hnf, smith_normal_form
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -144,3 +146,27 @@ def test_kernel_basis_frozen():
     assert len(ker) == 2
     assert in_span(ker, [1, -1, 0]) and in_span(ker, [0, 1, -1])
     assert kernel_basis([[1, 0], [0, 1]], 2) == []
+
+
+def test_modular_smith_frozen():
+    # integer diagonal (2, 2, 156); 156 = 4 * 3 * 13
+    A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    assert modular_snf(A, 12) == [2, 2, 12]
+    assert modular_snf(A, 13) == [1, 1, 13]
+    assert modular_snf(A, 1) == [1, 1, 1]
+    # a column the rows never reach is free mod m
+    assert modular_snf([[2, 0], [0, 0]], 8) == [2, 8]
+    assert modular_snf([[0, 0]], 5) == [5, 5]
+    # Z/2 + Z/3 = Z/6: the factors come back as a divisor chain
+    assert modular_snf([[2, 0], [0, 3]], 36) == [1, 6]
+    with pytest.raises(ValueError):
+        modular_snf([[1]], 0)
+
+
+@settings(max_examples=200)
+@given(small_matrix, st.integers(1, 720))
+def test_modular_smith_matches_integer_smith(rows, m):
+    """gcd(d_i, m) over the integer Smith diagonal, padded with 0 to the width."""
+    diag = smith_normal_form(rows)
+    diag += [0] * (len(rows[0]) - len(diag))
+    assert modular_snf(rows, m) == [math.gcd(d, m) for d in diag]

@@ -1,6 +1,9 @@
+from concurrent.futures import Future
+
 import pytest
 
 from cuspgate.curves import WeierstrassModel
+from cuspgate import searches
 from cuspgate.searches import (
     SearchHit,
     search_2p_family,
@@ -210,3 +213,42 @@ def test_search_hit_helpers():
     hit = SearchHit("demo", (("a", 1), ("b", 2)))
     assert hit.params_dict() == {"a": 1, "b": 2}
     assert hit.tags == () and hit.curve is None and hit.conductor is None
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus, expected", [(None, None), (1, None), (2, 2), (4, 4)])
+def test_run_scan_clamps_jobs_to_cpu_count(monkeypatch, cpus, expected):
+    """A huge job count never reaches the pool: it is cut to the CPU count,
+    and to a serial run when there is a single CPU (or none reported)."""
+    _InlinePool.sizes = []
+    monkeypatch.setattr(searches.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(searches, "ProcessPoolExecutor", _InlinePool)
+    chunks = []
+
+    def worker(a, b):
+        chunks.append((a, b))
+        return [(a, b)]
+
+    out = searches._run_scan(worker, 0, 100, 10**6)
+    assert _InlinePool.sizes == ([] if expected is None else [expected])
+    assert len(chunks) == (expected or 1)
+    assert out == chunks and chunks[0][0] == 0 and chunks[-1][1] == 100
