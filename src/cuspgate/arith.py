@@ -122,13 +122,30 @@ class Factorization:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        self._check_product()
+        for p, _ in self.pairs:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+
+    @classmethod
+    def _of_proven_primes(cls, n: int, pairs: tuple[tuple[int, int], ...]) -> "Factorization":
+        """Build from primes the caller has already proven, without testing them again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "pairs", pairs)
+        out._check_product()
+        return out
+
+    def _check_product(self) -> None:
         m = 1
         last = 0
         for p, e in self.pairs:
-            assert p > last and e >= 1 and is_prime(p)
+            if p <= last or e < 1:
+                raise ValueError(f"pairs {self.pairs} need increasing primes and positive exponents")
             last = p
             m *= p**e
-        assert m == self.n
+        if m != self.n:
+            raise ValueError(f"pairs {self.pairs} multiply to {m}, not {self.n}")
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)
@@ -165,7 +182,8 @@ def factor(n: int) -> Factorization:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(n, tuple(sorted(found.items())))
+    # every prime here passed is_prime or is one of _SMALL_PRIMES
+    return Factorization._of_proven_primes(n, tuple(sorted(found.items())))
 
 
 def is_qr(a: int, m: int) -> bool:

@@ -2,14 +2,16 @@
 
 All arithmetic is exact (int / fractions.Fraction).  A model is the tuple
 (a1,a2,a3,a4,a6) of y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 and is
-required to be nonsingular (disc != 0).
+required to be nonsingular (disc != 0).  A coordinate change with u = 1 is
+a polynomial in the coefficients and (r, s, t), so it stays in int when they
+are integers; only u != 1 divides, exactly, through Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import factor
 
@@ -131,7 +133,9 @@ class Transform:
 
     def __post_init__(self) -> None:
         for name in ("u", "r", "s", "t"):
-            object.__setattr__(self, name, _norm(Fraction(getattr(self, name))))
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, _norm(Fraction(value)))
         if self.u == 0:
             raise ValueError("u must be nonzero")
 
@@ -159,14 +163,19 @@ class Transform:
 
 
 def apply_transform(e: WeierstrassModel, t: Transform) -> WeierstrassModel:
-    u, r, s, tt = (Fraction(v) for v in (t.u, t.r, t.s, t.t))
-    a1, a2, a3, a4, a6 = (Fraction(a) for a in e.coefficients())
-    na1 = (a1 + 2 * s) / u
-    na2 = (a2 - s * a1 + 3 * r - s * s) / u ** 2
-    na3 = (a3 + r * a1 + 2 * tt) / u ** 3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (tt + r * s) * a1 + 3 * r * r - 2 * s * tt) / u ** 4
-    na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - tt * a3 - tt * tt - r * tt * a1) / u ** 6
-    return WeierstrassModel(na1, na2, na3, na4, na6)
+    u, r, s, tt = t.u, t.r, t.s, t.t
+    a1, a2, a3, a4, a6 = e.coefficients()
+    coeffs = (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * tt,
+        a4 - s * a3 + 2 * r * a2 - (tt + r * s) * a1 + 3 * r * r - 2 * s * tt,
+        a6 + r * a4 + r * r * a2 + r ** 3 - tt * a3 - tt * tt - r * tt * a1,
+    )
+    if u != 1:
+        # a1, a2, a3, a4, a6 have weights 1, 2, 3, 4, 6 in u
+        coeffs = tuple(Fraction(x) / u ** k for x, k in zip(coeffs, (1, 2, 3, 4, 6)))
+    return WeierstrassModel(*coeffs)
 
 
 def transform_point(pt, t: Transform):
@@ -279,16 +288,15 @@ def _rational_cubic_roots(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
     lead, const = coeffs[0], coeffs[-1]
     if len(coeffs) == 1:
         return roots
+    # n/q in lowest terms is a root iff c3 n^3 + c2 n^2 q + c1 n q^2 + c0 q^3 == 0
+    leads = factor(abs(lead)).divisors()
     for p in factor(abs(const)).divisors():
-        for q in factor(abs(lead)).divisors():
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in [c3, c2, c1, c0]:
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
+        for q in leads:
+            if gcd(p, q) != 1:
+                continue
+            for n in (p, -p):
+                if c3 * n**3 + c2 * n * n * q + c1 * n * q * q + c0 * q**3 == 0:
+                    roots.append(Fraction(n, q))
     return sorted(roots)
 
 

@@ -4,6 +4,12 @@ Every scan is a plain enumeration over an integer range, so ranges can be
 chunked across processes (`jobs`) without changing the result: chunks are
 submitted in order and concatenated in order, making output byte-identical
 to the single-process run.
+
+The 8p scan enumerates square roots: for each case it walks the odd m with
+p = m^2 - shift in its range and tests only those p for primality, then
+sorts the hits by (p, case).  The 2p scan splits k into contiguous chunks
+weighted by the about 2^(k/2) values of m each k tries, not into equal-width
+ones, so the workers get about equal shares of the work.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .arith import Factorization, factor, is_prime, is_square
 from .curves import INFINITY, Point, WeierstrassModel, group_law_add, two_torsion_structure
@@ -39,15 +46,38 @@ def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-def _run_scan(worker, lo: int, hi: int, jobs: int, *args) -> list[SearchHit]:
+def _weighted_chunks(lo: int, hi: int, jobs: int, weight) -> list[tuple[int, int]]:
+    """Contiguous chunks of [lo, hi) whose weight(i) sums are about equal."""
+    if hi <= lo:
+        return []
+    prefix = list(accumulate(weight(i) for i in range(lo, hi)))
+    total = prefix[-1]
+    cuts = {lo, hi}
+    for share in range(1, jobs):
+        # cut where the prefix weight comes nearest share/jobs of the total
+        i = min(range(len(prefix)), key=lambda j: abs(jobs * prefix[j] - share * total))
+        cuts.add(lo + i + 1)
+    ordered = sorted(cuts)
+    return list(zip(ordered, ordered[1:]))
+
+
+def _pool_jobs(jobs: int) -> int:
     # more processes than CPUs only adds start-up cost, and an unbounded
     # count can exhaust the machine's process table
-    jobs = min(jobs, os.cpu_count() or 1)
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _run_scan(worker, lo: int, hi: int, jobs: int, *args) -> list[SearchHit]:
+    jobs = _pool_jobs(jobs)
     if jobs <= 1:
         return worker(lo, hi, *args)
+    return _run_chunks(worker, _chunks(lo, hi, jobs), jobs, *args)
+
+
+def _run_chunks(worker, chunks: list[tuple[int, int]], jobs: int, *args) -> list[SearchHit]:
     out: list[SearchHit] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, a, b, *args) for a, b in _chunks(lo, hi, jobs)]
+        futures = [pool.submit(worker, a, b, *args) for a, b in chunks]
         for fut in futures:
             out.extend(fut.result())
     return out
@@ -129,7 +159,15 @@ def search_2p_family(k_max: int, *, jobs: int = 1) -> list[SearchHit]:
     """
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
-    return _run_scan(_scan_2p, 1, k_max + 1, jobs)
+    jobs = _pool_jobs(jobs)
+    if jobs <= 1:
+        return _scan_2p(1, k_max + 1)
+    return _run_chunks(_scan_2p, _weighted_chunks(1, k_max + 1, jobs, _2p_candidates), jobs)
+
+
+def _2p_candidates(k: int) -> int:
+    """The number of odd m that _scan_2p tries for this k, about 2^(k/2)."""
+    return (math.isqrt(2**k) + 1) // 2
 
 
 # -- conductor 8p from p -+ 16/32 ----------------------------------------------
@@ -143,27 +181,27 @@ _8P_CASES = (
 
 
 def _scan_8p(plo: int, phi: int) -> list[SearchHit]:
+    # enumerate the square roots: p = m^2 - shift for odd m, plo <= p < phi
+    found = []
+    for case, shift, a4 in _8P_CASES:
+        mlo = math.isqrt(max(plo + shift, 1) - 1) + 1
+        mhi = math.isqrt(max(phi + shift - 1, 0))
+        for m in range(mlo | 1, mhi + 1, 2):
+            p = m * m - shift
+            if is_prime(p):
+                found.append((p, case, m, a4))
     hits = []
-    for p in range(plo | 1, phi, 2):
-        if not is_prime(p):
-            continue
-        for case, shift, a4 in _8P_CASES:
-            target = p + shift
-            if target <= 0:
-                continue
-            sq, m = is_square(target)
-            if not sq or m % 2 == 0:
-                continue
-            mstar = m if m % 4 == 1 else -m
-            e = WeierstrassModel(0, mstar, 0, a4, 0)
-            hits.append(
-                SearchHit(
-                    "8p",
-                    (("case", case), ("m", mstar), ("p", p)),
-                    curve=e,
-                    conductor=_conductor(e),
-                )
+    for p, case, m, a4 in sorted(found):
+        mstar = m if m % 4 == 1 else -m
+        e = WeierstrassModel(0, mstar, 0, a4, 0)
+        hits.append(
+            SearchHit(
+                "8p",
+                (("case", case), ("m", mstar), ("p", p)),
+                curve=e,
+                conductor=_conductor(e),
             )
+        )
     return hits
 
 
@@ -203,7 +241,8 @@ def _scan_4pq(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
         if qv is None:
             continue
         (p, alpha), (q, beta) = pu, qv
-        assert p != q  # powers of one odd prime cannot differ by 4 or 8
+        if p == q:  # powers of one odd prime cannot differ by 4 or 8
+            raise AssertionError(f"{u} and {v} are powers of the same prime {p}")
         for s in (1, -1):
             e = WeierstrassModel(0, -s * (u + v), 0, u * v, 0)
             hits.append(
@@ -251,7 +290,9 @@ def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
     for c in range(clo | 1, chi, 2):
         a4 = c * c
         fac_c = factor(c)
-        sq_divisors = Factorization(a4, tuple((p, 2 * e) for p, e in fac_c.pairs)).divisors()
+        sq_divisors = Factorization._of_proven_primes(
+            a4, tuple((p, 2 * e) for p, e in fac_c.pairs)
+        ).divisors()
         for a in sq_divisors:
             b = a4 // a
             k = a + 16 * b
@@ -261,8 +302,7 @@ def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
             sq2, beta = is_square(k + 8 * c)
             if not (sq1 and sq2) or alpha == 0:
                 continue
-            support = {pp for pp in factor(c * alpha * beta).primes() if pp != 2}
-            if len(support) > 2:
+            if len(_odd_support(fac_c, alpha, beta)) > 2:
                 continue
             a2 = (k - 1) // 4
             e = WeierstrassModel(1, a2, 0, a4, 0)
@@ -285,14 +325,22 @@ def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
     return hits
 
 
+def _odd_support(fac_c: Factorization, alpha: int, beta: int) -> set[int]:
+    """The odd primes of c * alpha * beta, from the factored c and the small
+    alpha, beta: the same set as factor(c * alpha * beta) gives."""
+    primes = (*fac_c.primes(), *factor(alpha).primes(), *factor(beta).primes())
+    return {p for p in primes if p != 2}
+
+
 def _assert_z2z4_torsion(e: WeierstrassModel, c: int, beta: int) -> None:
     """The hit really does carry Z/2 x Z/4: full 2-torsion plus a rational
-    point of order 4 sitting over (0, 0)."""
-    assert two_torsion_structure(e).label == "Z/2 x Z/2"
+    point of order 4 sitting over (0, 0).  Raises AssertionError otherwise."""
+    if two_torsion_structure(e).label != "Z/2 x Z/2":
+        raise AssertionError(f"{e} lacks full rational 2-torsion")
     q = Point(c, c * (beta - 1) // 2)
     double = group_law_add(e, q, q)
-    assert double == Point(0, 0)
-    assert group_law_add(e, double, double) is INFINITY
+    if double != Point(0, 0) or group_law_add(e, double, double) is not INFINITY:
+        raise AssertionError(f"{q} is not a point of order 4 over (0, 0) on {e}")
 
 
 @dataclass(frozen=True)

@@ -107,10 +107,14 @@ def test_divisors_complete(n):
 
 
 def test_factorization_validates():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Factorization(12, ((2, 1), (3, 1)))  # product mismatch
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Factorization(12, ((3, 1), (2, 2)))  # out of order
+    with pytest.raises(ValueError):
+        Factorization(9, ((9, 1),))  # 9 is not prime
+    with pytest.raises(ValueError):
+        Factorization(1, ((2, 0),))  # zero exponent
 
 
 def brute_qr(a, m):

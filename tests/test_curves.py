@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import curves_oracle
 from cuspgate.curves import (
     INFINITY,
     Point,
     Transform,
     WeierstrassModel,
+    _rational_cubic_roots,
     apply_transform,
     b_invariants,
     double_x,
@@ -67,6 +69,50 @@ def test_integral_model():
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
 transforms = st.builds(Transform, nonzero_rationals, rationals, rationals, rationals)
+
+
+small_ints = st.integers(-30, 30)
+integral_models = st.tuples(small_ints, small_ints, small_ints, small_ints, small_ints)
+rational_models = st.tuples(rationals, rationals, rationals, rationals, rationals)
+integral_transforms = st.builds(
+    Transform, st.sampled_from([1, 1, -1, 2, -3]), small_ints, small_ints, small_ints
+)
+
+
+def _model(coeffs):
+    try:
+        return WeierstrassModel(*coeffs)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200)
+@given(st.one_of(integral_models, rational_models), st.one_of(integral_transforms, transforms))
+def test_apply_transform_matches_fraction_oracle(coeffs, t):
+    e = _model(coeffs)
+    got = apply_transform(e, t)
+    want = curves_oracle.apply_transform(e, t)
+    assert got == want
+    assert [type(a) for a in got.coefficients()] == [type(a) for a in want.coefficients()]
+
+
+@settings(max_examples=100)
+@given(integral_models, small_ints, small_ints, small_ints)
+def test_integral_translation_stays_in_int(coeffs, r, s, t):
+    e = _model(coeffs)
+    shift = Transform(1, r, s, t)
+    assert all(type(v) is int for v in (shift.u, shift.r, shift.s, shift.t))
+    assert all(type(a) is int for a in apply_transform(e, shift).coefficients())
+
+
+def test_transform_fields_parse_as_before():
+    t = Transform("1/2", Fraction(4, 2), "3", True)
+    assert (t.u, t.r, t.s, t.t) == (Fraction(1, 2), 2, 3, 1)
+    assert [type(v) for v in (t.u, t.r, t.s, t.t)] == [Fraction, int, int, int]
+    with pytest.raises(ValueError):
+        Transform(0, 1, 2, 3)
+    with pytest.raises(ValueError):
+        Transform("0/5", 1, 2, 3)
 
 
 @settings(max_examples=120)
@@ -192,3 +238,40 @@ def test_two_torsion_points_die_under_doubling():
         P = Point(x, 0)
         assert on_curve(e, P)
         assert group_law_add(e, P, P) is INFINITY
+
+
+nonzero_ints = st.integers(-40, 40).filter(lambda x: x != 0)
+
+
+@settings(max_examples=300)
+@given(nonzero_ints, st.integers(-300, 300), st.integers(-300, 300), st.integers(-300, 300))
+def test_rational_cubic_roots_match_fraction_oracle(c3, c2, c1, c0):
+    assert _rational_cubic_roots(c3, c2, c1, c0) == curves_oracle.rational_cubic_roots(c3, c2, c1, c0)
+
+
+def _times_linear(poly, p, q):
+    """poly * (q x - p), coefficients in descending order."""
+    return [a * q - b * p for a, b in zip(poly + [0], [0] + poly)]
+
+
+linear_factors = st.tuples(st.integers(-12, 12), st.integers(1, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(linear_factors, min_size=3, max_size=3), nonzero_ints)
+def test_rational_cubic_roots_of_split_cubics(linear, scale):
+    poly = [scale]
+    for p, q in linear:
+        poly = _times_linear(poly, p, q)
+    got = _rational_cubic_roots(*poly)
+    assert got == curves_oracle.rational_cubic_roots(*poly)
+    assert got == sorted({Fraction(p, q) for p, q in linear})
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_factors, st.integers(1, 50), nonzero_ints)
+def test_rational_cubic_roots_with_an_irreducible_quadratic(linear, k, scale):
+    poly = _times_linear([scale, 0, scale * k], *linear)  # scale (x^2 + k)(q x - p)
+    got = _rational_cubic_roots(*poly)
+    assert got == curves_oracle.rational_cubic_roots(*poly)
+    assert got == [Fraction(*linear)]

@@ -1,7 +1,10 @@
+import random
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cuspgate.arith import factor, is_square
 from cuspgate.curves import WeierstrassModel
 from cuspgate import searches
 from cuspgate.searches import (
@@ -13,6 +16,7 @@ from cuspgate.searches import (
     verify_z2z4_classification,
 )
 from cuspgate.tate import conductor
+from searches_oracle import scan_8p_by_primes
 
 
 def test_neumann_setzer_frozen():
@@ -110,6 +114,22 @@ def test_8p_family_case_shapes():
         assert conductor(h.curve) == 8 * p
 
 
+@pytest.mark.parametrize("p_max", [37, 38, 41, 120, 5000])
+def test_8p_matches_the_prime_loop_oracle(p_max):
+    assert search_8p_family(p_max) == scan_8p_by_primes(32, p_max + 1)
+
+
+def test_8p_parallel_matches_the_prime_loop_oracle():
+    assert search_8p_family(5000, jobs=2) == scan_8p_by_primes(32, 5001)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 300))
+def test_8p_chunks_match_the_prime_loop_oracle(lo, width):
+    """Any chunk, odd or even ends, gives the oracle's hits in its order."""
+    assert searches._scan_8p(lo, lo + width) == scan_8p_by_primes(lo, lo + width)
+
+
 def test_4pq_family_frozen():
     hits = search_4pq_family(30)
     rows = {
@@ -196,6 +216,28 @@ def test_z2z4_two_prime_hits_are_never_primitive():
     assert report.two_prime_case_empty
 
 
+def test_z2z4_support_matches_factoring_the_product():
+    rng = random.Random(600)
+    for c in range(1, 601, 2):
+        pairs = [(rng.randint(1, 500), rng.randint(1, 500)) for _ in range(3)]
+        for a in factor(c * c).divisors():  # every square pair the scan meets
+            k = a + 16 * (c * c // a)
+            (sq1, alpha), (sq2, beta) = is_square(k - 8 * c), is_square(k + 8 * c)
+            if sq1 and sq2 and alpha:
+                pairs.append((alpha, beta))
+        for alpha, beta in pairs:
+            want = {p for p in factor(c * alpha * beta).primes() if p != 2}
+            assert searches._odd_support(factor(c), alpha, beta) == want
+
+
+def test_z2z4_torsion_check_rejects_wrong_curves():
+    searches._assert_z2z4_torsion(WeierstrassModel(1, 4, 0, 1, 0), 1, 5)  # the c = 1 hit
+    with pytest.raises(AssertionError):
+        searches._assert_z2z4_torsion(WeierstrassModel(1, 4, 0, 1, 0), 1, 3)  # (1, 1)
+    with pytest.raises(AssertionError):
+        searches._assert_z2z4_torsion(WeierstrassModel(0, -1, 1, -10, -20), 1, 5)
+
+
 def test_z2z4_validation():
     with pytest.raises(ValueError):
         verify_z2z4_classification(10)
@@ -252,3 +294,39 @@ def test_run_scan_clamps_jobs_to_cpu_count(monkeypatch, cpus, expected):
     assert _InlinePool.sizes == ([] if expected is None else [expected])
     assert len(chunks) == (expected or 1)
     assert out == chunks and chunks[0][0] == 0 and chunks[-1][1] == 100
+
+
+def test_2p_weighted_chunks_cover_k_in_order_and_balance():
+    weight = searches._2p_candidates
+    assert searches._weighted_chunks(1, 25, 2, weight) == [(1, 23), (23, 25)]
+    assert searches._weighted_chunks(5, 5, 2, weight) == []
+    for k_max in range(3, 60):
+        total = sum(weight(k) for k in range(1, k_max + 1))
+        for jobs in (2, 3, 4):
+            chunks = searches._weighted_chunks(1, k_max + 1, jobs, weight)
+            assert chunks[0][0] == 1 and chunks[-1][1] == k_max + 1
+            assert all(a < b for a, b in chunks)
+            assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
+            assert len(chunks) <= jobs
+            if k_max >= 12:
+                # one k holds about 29% of the weight, so 4 jobs cannot do better
+                heaviest = max(sum(weight(k) for k in range(a, b)) for a, b in chunks)
+                assert heaviest * jobs <= 1.2 * total
+
+
+def test_2p_pool_gets_weighted_chunks(monkeypatch):
+    _InlinePool.sizes = []
+    monkeypatch.setattr(searches.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(searches, "ProcessPoolExecutor", _InlinePool)
+    ranges = []
+    scan = searches._scan_2p
+
+    def recording_scan(klo, khi):
+        ranges.append((klo, khi))
+        return scan(klo, khi)
+
+    monkeypatch.setattr(searches, "_scan_2p", recording_scan)
+    serial = scan(1, 19)
+    assert search_2p_family(18, jobs=2) == serial
+    assert _InlinePool.sizes == [2]
+    assert ranges == searches._weighted_chunks(1, 19, 2, searches._2p_candidates) == [(1, 17), (17, 19)]
