@@ -5,41 +5,27 @@ version} with sorted keys, so reruns are byte-identical.  Integers of
 magnitude >= 2^53 and all exact rationals are rendered as decimal strings
 to survive JSON consumers with double-precision ints.  Domain errors
 (ValueError from the library) exit 1; usage errors exit 2 (argparse).
+
+Each subcommand imports only the layers it runs, inside its handler, so a
+query pays the start-up cost of what it uses: `gate` loads `arith` and
+`gates`, `cusp-group` loads `cusps` (and the `lattice` it calls), and only
+`search --jobs N` with N > 1 loads `multiprocessing`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .arith import factor
-from .atkin_lehner import ALElement, admissible_sign_assignments, al_fixed_point_exists
-from .cusps import (
-    CuspDivisor,
-    SquarefreeLevel,
-    apply_2_old_projection,
-    cuspidal_group_structure,
-    divisor_order,
-    is_principal,
-    ogg_order,
-)
-from .curves import Transform, WeierstrassModel, apply_transform, two_torsion_structure
-from .eta import EtaExponents, divisor_of_eta_quotient, ligozat_check
-from .gates import gate_nonsemistable, gate_pq_refined, gate_squarefree
-from .searches import (
-    search_2p_family,
-    search_4pq_family,
-    search_8p_family,
-    search_neumann_setzer,
-    verify_z2z4_classification,
-)
-from .tate import tate_algorithm
+
+if TYPE_CHECKING:
+    from .curves import WeierstrassModel
+    from .cusps import SquarefreeLevel
 
 _BIG = 2**53
 
@@ -70,6 +56,8 @@ def _parse_fractions(text: str, expected: int, what: str) -> tuple[Fraction, ...
 
 
 def _parse_curve(text: str) -> WeierstrassModel:
+    from .curves import WeierstrassModel
+
     toks = [tok.strip() for tok in text.split(",")]
     if len(toks) not in (2, 5):
         raise ValueError("curve must be a1,a2,a3,a4,a6 (or the short a4,a6)")
@@ -99,6 +87,15 @@ def _divisor_pairs(w) -> list[list]:
 
 
 def _cmd_cusp_order(args) -> dict:
+    from .cusps import (
+        CuspDivisor,
+        SquarefreeLevel,
+        apply_2_old_projection,
+        divisor_order,
+        is_principal,
+        ogg_order,
+    )
+
     level = SquarefreeLevel.of(args.level)
     if args.signs is not None:
         if args.project_2_old:
@@ -119,6 +116,8 @@ def _cmd_cusp_order(args) -> dict:
 
 
 def _cmd_cusp_group(args) -> dict:
+    from .cusps import SquarefreeLevel, cuspidal_group_structure
+
     level = SquarefreeLevel.of(args.level)
     invariants = cuspidal_group_structure(level)
     order = 1
@@ -128,6 +127,9 @@ def _cmd_cusp_group(args) -> dict:
 
 
 def _cmd_eta_check(args) -> dict:
+    from .cusps import SquarefreeLevel
+    from .eta import EtaExponents, ligozat_check
+
     level = SquarefreeLevel.of(args.level)
     r = EtaExponents(level, _parse_fractions(args.exponents, len(level.divisors), "--exponents"))
     verdict = ligozat_check(r)
@@ -135,18 +137,27 @@ def _cmd_eta_check(args) -> dict:
 
 
 def _cmd_eta_divisor(args) -> dict:
+    from .cusps import SquarefreeLevel
+    from .eta import EtaExponents, divisor_of_eta_quotient
+
     level = SquarefreeLevel.of(args.level)
     r = EtaExponents(level, _parse_fractions(args.exponents, len(level.divisors), "--exponents"))
     return {"coefficients": _divisor_pairs(divisor_of_eta_quotient(r))}
 
 
 def _cmd_al_fixed(args) -> dict:
+    from .atkin_lehner import ALElement, al_fixed_point_exists
+    from .cusps import SquarefreeLevel
+
     level = SquarefreeLevel.of(args.level)
     w = ALElement(level, args.r)
     return {"fixed_points": al_fixed_point_exists(w)}
 
 
 def _cmd_al_signs(args) -> dict:
+    from .atkin_lehner import admissible_sign_assignments
+    from .cusps import SquarefreeLevel
+
     level = SquarefreeLevel.of(args.level)
     assignments = admissible_sign_assignments(level, composite_rule=args.composite_rule)
     return {
@@ -159,6 +170,9 @@ def _cmd_al_signs(args) -> dict:
 
 
 def _cmd_gate(args) -> dict:
+    from .arith import factor
+    from .gates import gate_nonsemistable, gate_squarefree
+
     n = args.level
     if n >= 2 and not factor(n).is_squarefree():
         verdict = gate_nonsemistable(n)
@@ -175,6 +189,8 @@ def _cmd_gate(args) -> dict:
 
 
 def _cmd_gate_pq(args) -> dict:
+    from .gates import gate_pq_refined
+
     verdict = gate_pq_refined(args.p, args.q)
     return {
         "data": dict(verdict.data),
@@ -183,12 +199,15 @@ def _cmd_gate_pq(args) -> dict:
     }
 
 
+# each entry takes the `searches` module, which _cmd_search imports, and the args
 _SEARCHES = {
-    "neumann-setzer": lambda args: search_neumann_setzer(args.bound, jobs=args.jobs),
-    "2p": lambda args: search_2p_family(args.bound, jobs=args.jobs),
-    "8p": lambda args: search_8p_family(args.bound, jobs=args.jobs),
-    "4pq": lambda args: search_4pq_family(args.bound, difference=args.difference, jobs=args.jobs),
-    "z2z4": lambda args: verify_z2z4_classification(args.bound, jobs=args.jobs),
+    "neumann-setzer": lambda s, args: s.search_neumann_setzer(args.bound, jobs=args.jobs),
+    "2p": lambda s, args: s.search_2p_family(args.bound, jobs=args.jobs),
+    "8p": lambda s, args: s.search_8p_family(args.bound, jobs=args.jobs),
+    "4pq": lambda s, args: s.search_4pq_family(
+        args.bound, difference=args.difference, jobs=args.jobs
+    ),
+    "z2z4": lambda s, args: s.verify_z2z4_classification(args.bound, jobs=args.jobs),
 }
 
 
@@ -203,7 +222,9 @@ def _hit_dict(h) -> dict:
 
 
 def _cmd_search(args):
-    out = _SEARCHES[args.family](args)
+    from . import searches
+
+    out = _SEARCHES[args.family](searches, args)
     if args.family == "z2z4":
         result = {
             "bound": out.bound,
@@ -216,6 +237,9 @@ def _cmd_search(args):
         result = [_hit_dict(h) for h in out]
         hits = out
     if args.csv:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["family", "params", "tags", "curve", "conductor"])
@@ -234,6 +258,8 @@ def _cmd_search(args):
 
 
 def _cmd_tate(args) -> dict:
+    from .tate import tate_algorithm
+
     e = _parse_curve(args.curve)
     if not e.is_integral():
         raise ValueError("tate needs an integral model; clear denominators first")
@@ -254,6 +280,9 @@ def _cmd_tate(args) -> dict:
 
 
 def _cmd_conductor(args) -> dict:
+    from .arith import factor
+    from .tate import tate_algorithm
+
     e = _parse_curve(args.curve)
     e = e.integral_model()[0]
     local = []
@@ -267,13 +296,20 @@ def _cmd_conductor(args) -> dict:
 
 
 def _cmd_torsion2(args) -> dict:
+    from .curves import two_torsion_structure
+
     tor = two_torsion_structure(_parse_curve(args.curve))
     return {"label": tor.label, "roots": [str(r) for r in tor.roots]}
 
 
 def _cmd_curve_transform(args) -> dict:
+    from .curves import Transform, apply_transform
+
     e = _parse_curve(args.curve)
-    t = Transform(Fraction(args.u), Fraction(args.r), Fraction(args.s), Fraction(args.t))
+    try:
+        t = Transform(Fraction(args.u), Fraction(args.r), Fraction(args.s), Fraction(args.t))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"cannot parse transform: {exc}") from None
     out = apply_transform(e, t)
     return {"discriminant": Fraction(out.disc), "model": _model_list(out)}
 
@@ -374,7 +410,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = args.handler
     try:
-        result = handler(args)
+        # encoding is inside: a rational too long to print is a domain error
+        result = _encode(handler(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -387,7 +424,7 @@ def main(argv=None) -> int:
             for k, v in sorted(vars(args).items())
             if k not in ("handler",) and v is not None
         },
-        "result": _encode(result),
+        "result": result,
         "subcommand": args.subcommand,
         "version": __version__,
     }

@@ -189,7 +189,8 @@ def divisor_order(w: CuspDivisor) -> int:
         n0 = n0 * c.denominator // math.gcd(n0, c.denominator)
     if is_principal(n0 * w):
         return n0
-    assert is_principal(2 * n0 * w)
+    if not is_principal(2 * n0 * w):
+        raise AssertionError(f"{2 * n0} times the divisor is not principal")
     return 2 * n0
 
 

@@ -90,7 +90,10 @@ def gate_pq_refined(p: int, q: int) -> GateVerdict:
     o_mp = num(Rat((p - 1) * (q + 1), 24))
     all_odd = o_mm % 2 == 1 and o_pm % 2 == 1 and o_mp % 2 == 1
     ok = p % 8 == 3 and q % 8 == 3
-    assert ok == all_odd  # the congruence class and the parity of the orders agree
+    if ok != all_odd:
+        raise AssertionError(
+            f"p = {p}, q = {q}: the classes mod 8 and the parity of the cusp orders disagree"
+        )
     reason = (
         f"p mod 8 = {p % 8}, q mod 8 = {q % 8}: "
         + ("both are 3; all three cusp orders are odd" if ok else "need both = 3 (mod 8)")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -75,6 +74,9 @@ def _run_scan(worker, lo: int, hi: int, jobs: int, *args) -> list[SearchHit]:
 
 
 def _run_chunks(worker, chunks: list[tuple[int, int]], jobs: int, *args) -> list[SearchHit]:
+    # imported here so that only a parallel run pays for multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     out: list[SearchHit] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(worker, a, b, *args) for a, b in chunks]

@@ -249,6 +249,11 @@ def test_domain_errors_exit_1(capsys):
     assert err.startswith("error:") and "square-free" in err
     code2, _, err2 = run_cli(capsys, "tate", "--curve", "0,0,0,0,0", "--p", "2")
     assert code2 == 1 and "singular" in err2
+    # u = 10^700 gives a6 = 1/10^4200, past Python's int-to-string limit
+    code3, out3, err3 = run_cli(capsys, "curve-transform", "--curve", "0,0,0,1,1", "--u", "1e700")
+    assert code3 == 1 and out3 == "" and err3.startswith("error:")
+    code4, _, err4 = run_cli(capsys, "curve-transform", "--curve", "0,0,0,1,1", "--u", "1/0")
+    assert code4 == 1 and err4.startswith("error: cannot parse transform")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -5,6 +5,8 @@ import sys
 
 _SCRIPT = """
 import sys
+from fractions import Fraction
+from cuspgate import cusps, gates
 from cuspgate.arith import Factorization
 from cuspgate.curves import WeierstrassModel
 from cuspgate.searches import _assert_z2z4_torsion
@@ -23,6 +25,13 @@ print(outcome(Factorization, 9, ((9, 1),)))
 print(outcome(_assert_z2z4_torsion, WeierstrassModel(1, 4, 0, 1, 0), 1, 5))
 print(outcome(_assert_z2z4_torsion, WeierstrassModel(1, 4, 0, 1, 0), 1, 3))
 print(outcome(_assert_z2z4_torsion, WeierstrassModel(0, -1, 1, -10, -20), 1, 5))
+w = cusps.CuspDivisor(cusps.SquarefreeLevel.of(11), (Fraction(1), Fraction(-1)))
+print(outcome(gates.gate_pq_refined, 3, 11))
+print(outcome(cusps.divisor_order, w))
+gates.num = lambda r: 2  # every cusp order even, though 3 = 11 = 3 (mod 8)
+print(outcome(gates.gate_pq_refined, 3, 11))
+cusps.is_principal = lambda w: False  # neither n0 nor 2 n0 makes w principal
+print(outcome(cusps.divisor_order, w))
 """
 
 
@@ -38,4 +47,8 @@ def test_checks_still_raise_under_python_O():
         "returned",  # the c = 1 hit is a real Z/2 x Z/4
         "AssertionError",  # beta = 3 gives (1, 1), no point of order 4
         "AssertionError",  # 11a1 has no full 2-torsion
+        "returned",  # the refined gate at 33
+        "returned",  # the order of P_1 - P_11 at level 11
+        "AssertionError",  # the pq gate's class and parity disagree
+        "AssertionError",  # divisor_order finds no principal multiple
     ]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 from concurrent.futures import Future
 
@@ -283,7 +284,7 @@ def test_run_scan_clamps_jobs_to_cpu_count(monkeypatch, cpus, expected):
     and to a serial run when there is a single CPU (or none reported)."""
     _InlinePool.sizes = []
     monkeypatch.setattr(searches.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(searches, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     chunks = []
 
     def worker(a, b):
@@ -317,7 +318,7 @@ def test_2p_weighted_chunks_cover_k_in_order_and_balance():
 def test_2p_pool_gets_weighted_chunks(monkeypatch):
     _InlinePool.sizes = []
     monkeypatch.setattr(searches.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(searches, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     ranges = []
     scan = searches._scan_2p
 
