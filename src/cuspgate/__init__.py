@@ -79,8 +79,6 @@ _EXPORTS = {
     "tate": (
         "TateResult",
         "conductor",
-        "hasse_bound_check_at_2",
-        "reduction_point_count",
         "tate_algorithm",
     ),
 }

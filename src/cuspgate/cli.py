@@ -28,6 +28,9 @@ if TYPE_CHECKING:
     from .cusps import SquarefreeLevel
 
 _BIG = 2**53
+# Python's default int-to-string digit limit: a decimal exponent past it
+# would build a number with more digits than any result can print
+_MAX_EXPONENT = 4300
 
 
 def _encode(x):
@@ -45,11 +48,22 @@ def _encode(x):
     raise TypeError(f"cannot encode {type(x).__name__}")
 
 
-def _parse_fractions(text: str, expected: int, what: str) -> tuple[Fraction, ...]:
+def _fraction(text: str, what: str) -> Fraction:
+    """One rational from the command line.  A decimal exponent is checked
+    before `Fraction` expands it: 1e20000000 would take seconds to build."""
+    text = text.strip()
+    _, sep, exponent = text.lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "")
     try:
-        vals = tuple(Fraction(tok.strip()) for tok in text.split(","))
+        if sep and digits.isdecimal() and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError(f"exponent {exponent} exceeds {_MAX_EXPONENT} in magnitude")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {what}: {exc}") from None
+
+
+def _parse_fractions(text: str, expected: int, what: str) -> tuple[Fraction, ...]:
+    vals = tuple(_fraction(tok, what) for tok in text.split(","))
     if len(vals) != expected:
         raise ValueError(f"{what} needs {expected} comma-separated entries, got {len(vals)}")
     return vals
@@ -58,13 +72,10 @@ def _parse_fractions(text: str, expected: int, what: str) -> tuple[Fraction, ...
 def _parse_curve(text: str) -> WeierstrassModel:
     from .curves import WeierstrassModel
 
-    toks = [tok.strip() for tok in text.split(",")]
+    toks = text.split(",")
     if len(toks) not in (2, 5):
         raise ValueError("curve must be a1,a2,a3,a4,a6 (or the short a4,a6)")
-    try:
-        return WeierstrassModel.from_coefficients([Fraction(t) for t in toks])
-    except ZeroDivisionError as exc:
-        raise ValueError(f"cannot parse curve: {exc}") from None
+    return WeierstrassModel.from_coefficients([_fraction(t, "curve") for t in toks])
 
 
 def _parse_signs(text: str, level: SquarefreeLevel) -> tuple[int, ...]:
@@ -306,10 +317,7 @@ def _cmd_curve_transform(args) -> dict:
     from .curves import Transform, apply_transform
 
     e = _parse_curve(args.curve)
-    try:
-        t = Transform(Fraction(args.u), Fraction(args.r), Fraction(args.s), Fraction(args.t))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"cannot parse transform: {exc}") from None
+    t = Transform(*(_fraction(x, "transform") for x in (args.u, args.r, args.s, args.t)))
     out = apply_transform(e, t)
     return {"discriminant": Fraction(out.disc), "model": _model_list(out)}
 
@@ -415,20 +423,28 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(result, str):  # CSV mode writes raw text
+    if not isinstance(result, str):  # CSV mode returns its text as is
+        record = {
+            "input": {
+                k: v
+                for k, v in sorted(vars(args).items())
+                if k not in ("handler",) and v is not None
+            },
+            "result": result,
+            "subcommand": args.subcommand,
+            "version": __version__,
+        }
+        result = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    try:
         sys.stdout.write(result)
-        return 0
-    record = {
-        "input": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("handler",) and v is not None
-        },
-        "result": result,
-        "subcommand": args.subcommand,
-        "version": __version__,
-    }
-    print(json.dumps(record, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`); send what is left to devnull so the
+        # interpreter's own flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -7,6 +7,12 @@ restarting on a non-minimal model.  The conductor exponent is recovered
 from v(disc) and the component count (f = v - m + 1), which is valid at
 every prime, including the wildly ramified small ones.
 
+There is one path for every prime.  The singular point, the shape of the
+I0* cubic and its root count are closed forms mod p that branch only on the
+characteristic (p = 2, p = 3, p >= 5), after Cremona, *Algorithms for
+Modular Elliptic Curves*, section 3.2.  Brute-force searches over F_p for
+the same answers are the test oracles in `tests/tate_oracle.py`.
+
 The split/non-split and component-group decisions are made on the
 *translated* model; deciding them on the input coefficients is a classic
 mistake (it gives the wrong Tamagawa number already for the conductor-11
@@ -22,91 +28,7 @@ from .arith import factor, is_prime, valuation
 from .curves import Transform, WeierstrassModel, apply_transform
 
 # ---------------------------------------------------------------------------
-# small F_p polynomial kit (dense, descending coefficients, trimmed)
-
-
-def _ptrim(f: list[int], p: int) -> list[int]:
-    f = [c % p for c in f]
-    i = 0
-    while i < len(f) and f[i] == 0:
-        i += 1
-    return f[i:]
-
-
-def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out, p)
-
-
-def _psub(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    f = [0] * (n - len(f)) + f
-    g = [0] * (n - len(g)) + g
-    return _ptrim([(a - b) % p for a, b in zip(f, g)], p)
-
-
-def _pmod(f: list[int], g: list[int], p: int) -> list[int]:
-    f = _ptrim(f, p)
-    g = _ptrim(g, p)
-    if not g:
-        raise ZeroDivisionError("polynomial mod zero")
-    inv = pow(g[0], -1, p)
-    f = f[:]
-    while len(f) >= len(g):
-        coef = f[0] * inv % p
-        for i in range(len(g)):
-            f[i] = (f[i] - coef * g[i]) % p
-        while f and f[0] == 0:
-            f.pop(0)
-    return f
-
-
-def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = _ptrim(f, p), _ptrim(g, p)
-    while g:
-        f, g = g, _pmod(f, g, p)
-    if not f:
-        return []
-    inv = pow(f[0], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _tpow_mod(e: int, modpoly: list[int], p: int) -> list[int]:
-    """T^e mod modpoly over F_p."""
-    result = _pmod([1], modpoly, p)
-    base = _pmod([1, 0], modpoly, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), modpoly, p)
-        base = _pmod(_pmul(base, base, p), modpoly, p)
-        e >>= 1
-    return result
-
-
-def _fp_root_count(poly: list[int], p: int) -> int:
-    """Number of distinct roots of poly in F_p."""
-    poly = _ptrim(poly, p)
-    if len(poly) <= 1:
-        return 0
-    if p <= 97:
-        cnt = 0
-        for x in range(p):
-            acc = 0
-            for c in poly:
-                acc = (acc * x + c) % p
-            cnt += acc == 0
-        return cnt
-    frob = _psub(_tpow_mod(p, poly, p), [1, 0], p)
-    return len(_pgcd(frob, poly, p)) - 1
-
-
-# ---------------------------------------------------------------------------
-# quadratic / cubic shape analysis mod p
+# closed forms mod p
 
 
 def _quad(a: int, b: int, c: int, p: int) -> tuple[str, int | None]:
@@ -136,39 +58,45 @@ def _cubic(b: int, c: int, d: int, p: int) -> tuple[str, int]:
     the returned root is the repeated one.
     """
     b, c, d = b % p, c % p, d % p
-    if p <= 97:
-        roots = [x for x in range(p) if (((x + b) * x + c) * x + d) % p == 0]
-        for x in roots:
-            # multiplicity by repeated synthetic division (characteristic-proof)
-            poly = [1, b, c, d]
-            m = 0
-            while len(poly) > 1:
-                quot = []
-                acc = 0
-                for coef in poly[:-1]:
-                    acc = (acc * x + coef) % p
-                    quot.append(acc)
-                if (acc * x + poly[-1]) % p != 0:
-                    break
-                m += 1
-                poly = quot
-            if m >= 3:
-                return ("triple", x)
-            if m == 2:
-                return ("double", x)
-        return ("distinct", len(roots))
-    poly = [1, b, c, d]
-    deriv = [3 % p, 2 * b % p, c % p]
-    g = _pgcd(poly, deriv, p)
-    if len(g) - 1 == 0:
-        return ("distinct", _fp_root_count(poly, p))
-    if len(g) - 1 == 1:
-        return ("double", -g[1] % p)
-    # gcd of degree 2: the cubic is a perfect cube (T - alpha)^3
-    return ("triple", -g[1] * pow(2, -1, p) % p)
+    if (b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d) % p:
+        # squarefree: three roots iff T^p = T mod the cubic; one root and an
+        # irreducible quadratic factor iff only T^(p^2) = T
+        t = (0, 1, 0)
+        if _tpow(p, b, c, d, p) == t:
+            return ("distinct", 3)
+        return ("distinct", 1 if _tpow(p * p, b, c, d, p) == t else 0)
+    # with roots (x, x, y), 3c - b^2 = -(x - y)^2 in every characteristic
+    delta = (3 * c - b * b) % p
+    if delta:
+        # x = (bc - 9d) / (2(3c - b^2)) for odd p, which is bc at p = 3;
+        # at p = 2, c = x^2 + 2xy = x
+        root = c if p == 2 else (b * c - 9 * d) * pow(2 * delta, -1, p)
+        return ("double", root % p)
+    # (T - x)^3: b = -3x, and at p = 3, d = -x^3 = -x
+    return ("triple", -d % p if p == 3 else -b * pow(3, -1, p) % p)
 
 
-# ---------------------------------------------------------------------------
+def _tpow(e: int, b: int, c: int, d: int, p: int) -> tuple[int, int, int]:
+    """T^e in F_p[T]/(T^3 + bT^2 + cT + d), as coefficients (T^2, T, 1)."""
+
+    def mul(x, y):
+        x2, x1, x0 = x
+        y2, y1, y0 = y
+        # fold T^4 = -b T^3 - c T^2 - d T, then T^3 = -b T^2 - c T - d
+        e4 = x2 * y2
+        e3 = x2 * y1 + x1 * y2 - b * e4
+        e2 = x2 * y0 + x1 * y1 + x0 * y2 - c * e4 - b * e3
+        e1 = x1 * y0 + x0 * y1 - d * e4 - c * e3
+        e0 = x0 * y0 - d * e3
+        return (e2 % p, e1 % p, e0 % p)
+
+    out, base = (0, 0, 1), (0, 1, 0)
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        e >>= 1
+    return out
 
 
 def _vp(n: int, p: int) -> float:
@@ -177,28 +105,23 @@ def _vp(n: int, p: int) -> float:
 
 def _singular_point(e: WeierstrassModel, p: int) -> tuple[int, int]:
     """The unique singular point of the reduction mod p, as residues."""
-    a1, a2, a3, a4, a6 = (a % p for a in e.coefficients())
-    if p <= 97:
-        for x in range(p):
-            rhs = (((x + a2) * x + a4) * x + a6) % p
-            fx = (3 * x * x + 2 * a2 * x + a4) % p
-            for y in range(p):
-                if (y * y + a1 * x * y + a3 * y - rhs) % p:
-                    continue
-                if (2 * y + a1 * x + a3) % p:
-                    continue
-                if (a1 * y - fx) % p:
-                    continue
-                return x, y
-        raise AssertionError("no singular point found mod %d" % p)
-    # p > 97 is odd: complete the square; the singular x0 is the repeated
-    # root of 4x^3 + b2 x^2 + 2 b4 x + b6 and y0 = -(a1 x0 + a3)/2.
-    inv4 = pow(4, -1, p)
-    shape, x0 = _cubic(e.b2 * inv4, 2 * e.b4 * inv4, e.b6 * inv4, p)
-    if shape == "distinct":
-        raise AssertionError("reduction mod %d is smooth" % p)
-    y0 = -(a1 * x0 + a3) * pow(2, -1, p) % p
-    return x0 % p, y0
+    a1, a2, a3, a4, a6 = e.coefficients()
+    if p == 2:
+        if e.b2 % 2 == 0:
+            r = a4
+            t = r * (1 + a2 + a4) + a6
+        else:
+            r = a3
+            t = r + a4
+        return r % 2, t % 2
+    if p == 3:
+        r = -e.b6 if e.b2 % 3 == 0 else -e.b2 * e.b4
+    elif e.c4 % p == 0:
+        r = -e.b2 * pow(12, -1, p)
+    else:
+        r = -(e.c6 + e.b2 * e.c4) * pow(12 * e.c4, -1, p)
+    t = -(a1 * r + a3) * pow(2, -1, p)
+    return r % p, t % p
 
 
 _COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5, "IV*": 7, "III*": 8, "II*": 9}
@@ -241,9 +164,7 @@ def tate_algorithm(e: WeierstrassModel, p: int) -> TateResult:
     minimal = True
 
     while True:
-        v = _vp(cur.disc, p)
-        assert v != math.inf
-        v = int(v)
+        v = valuation(cur.disc, p)  # raises on a zero discriminant, also under -O
         if v == 0:
             return _result(p, "I0", 0, 1, 0, minimal, None, cur, total)
 
@@ -302,7 +223,8 @@ def tate_algorithm(e: WeierstrassModel, p: int) -> TateResult:
         assert _vp(cur.a1, p) >= 1 and _vp(cur.a2, p) >= 2
         rescale = Transform(p, 0, 0, 0)
         cur = apply_transform(cur, rescale)
-        assert cur.is_integral()
+        if not cur.is_integral():
+            raise AssertionError(f"the model is not divisible by {p}^i in each a_i")
         total = total.then(rescale)
         minimal = False
 
@@ -310,13 +232,15 @@ def tate_algorithm(e: WeierstrassModel, p: int) -> TateResult:
 def _shift(cur, total, r, t, s=0):
     tr = Transform(1, r, s, t)
     nxt = apply_transform(cur, tr)
-    assert nxt.is_integral()
+    if not nxt.is_integral():
+        raise AssertionError(f"shift by {tr} leaves a non-integral model")
     return nxt, total.then(tr)
 
 
 def _exact(n: int, p: int, k: int) -> int:
     q, r = divmod(n, p**k)
-    assert r == 0, f"{n} is not divisible by {p}^{k}"
+    if r:
+        raise AssertionError(f"{n} is not divisible by {p}^{k}")
     return q
 
 
@@ -342,41 +266,28 @@ def _in_star(cur, total, p, v, minimal):
     """The I_n* chain: alternate Y- and X-direction tests, translating on
     double roots, until a quadratic with distinct roots appears."""
     n = 1
-    mx = my = p * p
+    kx = ky = 2  # the next X- and Y-shifts are multiples of p^kx and p^ky
     while True:
-        assert n <= v - 4, "I_n* chain exceeded the discriminant bound"
-        kind, root = _quad(1, _exact(cur.a3, p, _ilog(my, p)), -_exact(cur.a6, p, _ilog(mx * my, p)), p)
+        if n > v - 4:
+            raise AssertionError("I_n* chain exceeded the discriminant bound")
+        kind, root = _quad(1, _exact(cur.a3, p, ky), -_exact(cur.a6, p, kx + ky), p)
         if kind != "double":
             c = 4 if kind == "distinct_split" else 2
             break
         if root:
-            cur, total = _shift(cur, total, 0, my * root, 0)
-        my *= p
+            cur, total = _shift(cur, total, 0, p**ky * root, 0)
+        ky += 1
         n += 1
 
-        kind, root = _quad(
-            _exact(cur.a2, p, 1),
-            _exact(cur.a4, p, 1 + _ilog(mx, p)),
-            _exact(cur.a6, p, _ilog(mx * my, p)),
-            p,
-        )
+        kind, root = _quad(_exact(cur.a2, p, 1), _exact(cur.a4, p, 1 + kx), _exact(cur.a6, p, kx + ky), p)
         if kind != "double":
             c = 4 if kind == "distinct_split" else 2
             break
         if root:
-            cur, total = _shift(cur, total, mx * root, 0, 0)
-        mx *= p
+            cur, total = _shift(cur, total, p**kx * root, 0, 0)
+        kx += 1
         n += 1
     return _result(p, f"I{n}*", n, c, v, minimal, None, cur, total)
-
-
-def _ilog(q: int, p: int) -> int:
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    assert q == 1
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +301,3 @@ def conductor(e: WeierstrassModel) -> int:
     for p in factor(abs(int(e.disc))).primes():
         n *= p ** tate_algorithm(e, p).f
     return n
-
-
-def reduction_point_count(e: WeierstrassModel, p: int) -> int:
-    """#E(F_p) for a model with good reduction at p (counts naively)."""
-    res = tate_algorithm(e, p)
-    if res.f != 0:
-        raise ValueError(f"bad reduction at {p} (type {res.kodaira})")
-    a1, a2, a3, a4, a6 = (a % p for a in res.model.coefficients())
-    count = 1
-    for x in range(p):
-        rhs = (((x + a2) * x + a4) * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
-                count += 1
-    return count
-
-
-def hasse_bound_check_at_2(e: WeierstrassModel, claimed_order: int) -> bool:
-    """Whether a rational torsion subgroup of the claimed order survives the
-    injection into E(F_2).  Requires good reduction at 2; #E(F_2) <= 5, so
-    claimed orders >= 6 always fail."""
-    if claimed_order < 1:
-        raise ValueError("order must be positive")
-    count = reduction_point_count(e, 2)
-    assert count <= 5  # Hasse: |#E(F_2) - 3| <= 2*sqrt(2)
-    return count % claimed_order == 0

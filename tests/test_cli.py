@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -275,3 +276,33 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["invariants"] == [2, 4]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspgate.cli", "cusp-group", "--level", "15"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve-transform", "--curve", "0,0,0,1,1", "--u", "1e20000000"],
+        ["curve-transform", "--curve", "0,0,0,1,1e20000000"],
+        ["tate", "--curve", "0,0,0,1,1E-20_000_000", "--p", "2"],
+        ["eta-check", "--level", "11", "--exponents", "1e4301,-1"],
+    ],
+)
+def test_huge_decimal_exponents_are_refused_before_parsing(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot parse") and "exceeds 4300" in err

@@ -1,7 +1,7 @@
 """Fuzz the CLI parsers in-process: every subcommand, on malformed fractions,
-zero denominators, huge integers and wrong entry counts, either returns a
-result (exit 0) or fails with exit 1 (domain error) or 2 (usage error), and
-no exception escapes.
+zero denominators, huge integers, decimal exponents and wrong entry counts,
+either returns a result (exit 0) or fails with exit 1 (domain error) or 2
+(usage error), and no exception escapes.
 
 Each subcommand's handler imports its own layers, so each one also runs on a
 valid input given as an explicit example.  Searches draw small bounds and
@@ -36,9 +36,18 @@ INTS = st.one_of(st.integers(-50, 200).map(str), st.sampled_from(HUGE))
 BAD_INTS = st.sampled_from(["", "x", "1/2", "1.5", " 7", "0x11", "-"])
 INT_TEXT = st.one_of(INTS, INTS, BAD_INTS, st.sampled_from([3, 5, 11, 19, 43, 59]).map(str))
 
+# decimal exponents: small ones parse, and ones past the 4300-digit limit are
+# refused before the number is built (1e20000000 would take seconds)
+EXPONENTS = st.one_of(
+    st.integers(-40, 40), st.sampled_from([4301, -4301, 20000000, -20000000, 10**9])
+)
+
 FRACTION_TOKENS = st.one_of(
     st.integers(-30, 30).map(str),
     st.tuples(st.integers(-30, 30), st.integers(-4, 4)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.tuples(st.integers(-30, 30), st.sampled_from("eE"), EXPONENTS).map(
+        lambda m: f"{m[0]}{m[1]}{m[2]}"
+    ),
     st.sampled_from(HUGE),
     st.sampled_from(["", "x", "1/", "/2", "1//2", "0.5", "-3/0", "nan", "inf", " 2 "]),
 )

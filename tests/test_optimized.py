@@ -6,9 +6,9 @@ import sys
 _SCRIPT = """
 import sys
 from fractions import Fraction
-from cuspgate import cusps, gates
+from cuspgate import cusps, gates, tate
 from cuspgate.arith import Factorization
-from cuspgate.curves import WeierstrassModel
+from cuspgate.curves import Transform, WeierstrassModel
 from cuspgate.searches import _assert_z2z4_torsion
 
 def outcome(fn, *args):
@@ -32,6 +32,10 @@ gates.num = lambda r: 2  # every cusp order even, though 3 = 11 = 3 (mod 8)
 print(outcome(gates.gate_pq_refined, 3, 11))
 cusps.is_principal = lambda w: False  # neither n0 nor 2 n0 makes w principal
 print(outcome(cusps.divisor_order, w))
+print(outcome(tate._exact, 7, 2, 1))
+# an I1* model at 2, v(disc) = 8, passed with v = 4: no chain step is allowed
+i1_star = WeierstrassModel(0, 5, 0, -4, 0)
+print(outcome(tate._in_star, i1_star, Transform.identity(), 2, 4, True))
 """
 
 
@@ -51,4 +55,6 @@ def test_checks_still_raise_under_python_O():
         "returned",  # the order of P_1 - P_11 at level 11
         "AssertionError",  # the pq gate's class and parity disagree
         "AssertionError",  # divisor_order finds no principal multiple
+        "AssertionError",  # 7 is not divisible by 2
+        "AssertionError",  # an I_n* chain longer than v(disc) - 4 allows
     ]

@@ -6,19 +6,20 @@ sub-loop) and cross-checked against the component-count relation
 f = v(disc) - m + 1.
 """
 
+import itertools
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspgate.arith import valuation
-from cuspgate.curves import WeierstrassModel, apply_transform
-from cuspgate.tate import (
-    conductor,
-    hasse_bound_check_at_2,
-    reduction_point_count,
-    tate_algorithm,
-)
+import tate_oracle
+from cuspgate import tate
+from cuspgate.arith import is_prime, valuation
+from cuspgate.curves import Transform, WeierstrassModel, apply_transform
+from cuspgate.tate import conductor, tate_algorithm
+from tate_oracle import hasse_bound_check_at_2, reduction_point_count
 
 # (coefficients, p) -> (kodaira, n, f, c, m, v_disc, minimal, split)
 FROZEN = [
@@ -47,6 +48,26 @@ FROZEN = [
     (((0, -31, 0, 240, 0), 2), ("I0", 0, 0, 1, 1, 0, False, None)),     # (-15, -16)
     (((0, 4, 0, 3, 0), 2), ("III", 0, 5, 2, 2, 6, True, None)),         # (3, 1)
     (((0, 17, 0, 30, 0), 2), ("III", 0, 5, 2, 2, 6, True, None)),       # (15, 2)
+    # p > 97, where the closed forms have no brute-force oracle.  A twist by
+    # p of a curve good at p is I0* with c = 1 + #roots of its cubic mod p:
+    # x^3 - x has 3; x^3 + 1 has 1 at 101 = 2 (mod 3), 3 at 103 = 1 (mod 3);
+    # x^3 - 2 has none at 1009, where 2 is not a cube; x^3 + x + 1 has 1.
+    (((0, 0, 0, -(101**2), 0), 101), ("I0*", 0, 2, 4, 5, 6, True, None)),
+    (((0, 0, 0, 0, 101**3), 101), ("I0*", 0, 2, 2, 5, 6, True, None)),
+    (((0, 0, 0, 0, 103**3), 103), ("I0*", 0, 2, 4, 5, 6, True, None)),
+    (((0, 0, 0, 0, -2 * 1009**3), 1009), ("I0*", 0, 2, 1, 5, 6, True, None)),
+    (((0, 0, 0, 1009**2, 1009**3), 1009), ("I0*", 0, 2, 2, 5, 6, True, None)),
+    # the twist by 103 of y^2 = x^3 + 5x^2 + 32x, which is (1, 1, 0, 2, 0)
+    (((0, 5 * 103, 0, 32 * 103**2, 0), 103), ("I1*", 1, 2, 4, 6, 7, True, None)),
+    # y^2 = x^3 + A x + B with v(A), v(B) >= (3, 4), (3, 5), (4, 5);
+    # c = 3 for IV* iff B/p^4 is a square mod p (2 is not, mod 101)
+    (((0, 0, 0, 0, 2 * 101**4), 101), ("IV*", 0, 2, 1, 7, 8, True, None)),
+    (((0, 0, 0, 0, 103**4), 103), ("IV*", 0, 2, 3, 7, 8, True, None)),
+    (((0, 0, 0, 103**3, 0), 103), ("III*", 0, 2, 2, 8, 9, True, None)),
+    (((0, 0, 0, 0, 1009**5), 1009), ("II*", 0, 2, 1, 9, 10, True, None)),
+    # scaled by u = p: the type of the model it came from, and not minimal
+    (((0, 0, 0, -(1009**6), 0), 1009), ("I0*", 0, 2, 4, 5, 6, False, None)),
+    (((103, 103**2, 0, 2 * 103**4, 0), 103), ("I1", 1, 1, 1, 1, 1, False, True)),
 ]
 
 
@@ -199,3 +220,72 @@ def test_conductor_is_product_of_local_exponents(a2, a4, a6):
     for p in factor(abs(m.disc)).primes():
         prod *= p ** tate_algorithm(m, p).f
     assert n == prod
+
+
+PRIMES_TO_97 = [p for p in range(2, 98) if is_prime(p)]
+
+
+def singular_models(p, rng, count):
+    """Integral models singular mod p: a3, a4, a6 = 0 (mod p) puts the
+    singular point at the origin, and a shift (r, s, t) moves it; residues
+    (a1, a2, r, s, t) cover every singular reduction.  Exhaustive for p <= 5."""
+    if p <= 5:
+        draws = itertools.product(range(p), repeat=5)
+    else:
+        draws = (tuple(rng.randrange(p) for _ in range(5)) for _ in range(count))
+    for a1, a2, r, s, t in draws:
+        a3, a4, a6 = (p * rng.randint(1, 9) for _ in range(3))
+        try:
+            e = WeierstrassModel(a1, a2, a3, a4, a6)
+        except ValueError:
+            continue
+        yield apply_transform(e, Transform(1, r, s, t))
+
+
+def cubics(p, rng, count):
+    """Every (b, c, d) mod p for p <= 13; else random cubics, half of them
+    built with a double or triple root, and lifted off the residues."""
+    if p <= 13:
+        yield from itertools.product(range(p), repeat=3)
+        return
+    for i in range(count):
+        x, y = rng.randrange(p), rng.randrange(p)
+        if i % 4 == 0:
+            b, c, d = -(2 * x + y), x * x + 2 * x * y, -x * x * y
+        elif i % 4 == 1:
+            b, c, d = -3 * x, 3 * x * x, -(x**3)
+        else:
+            b, c, d = (rng.randrange(p) for _ in range(3))
+        yield b + p * rng.randint(-3, 3), c, d + p * rng.randint(-3, 3)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_97)
+def test_closed_forms_match_the_brute_force_oracle(p):
+    rng = random.Random(p)
+    for e in singular_models(p, rng, 150):
+        assert tate._singular_point(e, p) == tate_oracle.singular_point(e, p), e
+    for b, c, d in cubics(p, rng, 400):
+        assert tate._cubic(b, c, d, p) == tate_oracle.cubic(b, c, d, p), (b, c, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 97, 101]),
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 5)), min_size=5, max_size=5),
+    st.tuples(st.integers(-200, 200), st.integers(-200, 200), st.integers(-200, 200)),
+)
+def test_tate_on_models_with_bad_reduction(p, parts, shift):
+    # a_i = m p^k with random k, moved by a random integral shift
+    try:
+        e = WeierstrassModel(*(m * p**k for m, k in parts))
+    except ValueError:
+        return
+    e = apply_transform(e, Transform(1, *shift))
+    r = tate_algorithm(e, p)
+    assert r.f == (r.v_disc - r.m + 1 if r.v_disc else 0)
+    assert apply_transform(e, r.transform) == r.model
+    if p <= 97:
+        # the same run with the brute-force searches gives the same result
+        oracle = {"_singular_point": tate_oracle.singular_point, "_cubic": tate_oracle.cubic}
+        with mock.patch.multiple(tate, **oracle):
+            assert repr(tate_algorithm(e, p)) == repr(r)
