@@ -17,6 +17,12 @@ from .arith import factor, is_qr
 from .cusps import CuspDivisor, SquarefreeLevel
 
 
+def _al_label(r: int, d: int) -> int:
+    """Label of w_r applied to the cusp labeled d: r*d / gcd(r, d)^2."""
+    g = math.gcd(r, d)
+    return r * d // (g * g)
+
+
 @dataclass(frozen=True)
 class ALElement:
     """w_r on X0(N); r runs over divisors of square-free N, r=1 is the identity."""
@@ -31,8 +37,7 @@ class ALElement:
     def __mul__(self, other: "ALElement") -> "ALElement":
         if self.level != other.level:
             raise ValueError("mismatched levels")
-        g = math.gcd(self.r, other.r)
-        return ALElement(self.level, self.r * other.r // (g * g))
+        return ALElement(self.level, _al_label(self.r, other.r))
 
     def is_identity(self) -> bool:
         return self.r == 1
@@ -42,8 +47,7 @@ def al_act_on_cusp(w: ALElement, d: int) -> int:
     """Denominator label of w_r applied to the cusp of denominator d."""
     if w.level.n % d != 0:
         raise ValueError(f"{d} is not a divisor of {w.level.n}")
-    g = math.gcd(w.r, d)
-    return w.r * d // (g * g)
+    return _al_label(w.r, d)
 
 
 def al_act_on_divisor(w: ALElement, v: CuspDivisor) -> CuspDivisor:
@@ -92,6 +96,11 @@ class SignAssignment:
         return dict(zip(self.level.primes, self.signs))
 
 
+def _sign_product(signs: tuple[int, ...], k: int) -> int:
+    """Product of the signs at the primes in bit mask k."""
+    return math.prod(s for i, s in enumerate(signs) if k >> i & 1)
+
+
 def admissible_sign_assignments(
     level: SquarefreeLevel, *, composite_rule: bool = False
 ) -> tuple[SignAssignment, ...]:
@@ -113,30 +122,20 @@ def admissible_sign_assignments(
         if i2 in forced and forced[i2] == -1:
             return ()  # contradictory requirements; nothing is admissible
         forced[i2] = 1
+    # bit masks of the composite r whose w_r has a fixed point
+    fixed = []
+    if composite_rule:
+        for k, r in enumerate(level.divisors):
+            if k & (k - 1) and al_fixed_point_exists(ALElement(level, r)):
+                fixed.append(k)
     out = []
     for signs in itertools.product((1, -1), repeat=t):
-        prod = 1
-        for s in signs:
-            prod *= s
-        if prod != -1:
+        if math.prod(signs) != -1:
             continue
         if any(signs[i] != s for i, s in forced.items()):
             continue
-        if composite_rule:
-            bad = False
-            for r in level.divisors:
-                if r == 1 or r in level.primes:
-                    continue
-                if al_fixed_point_exists(ALElement(level, r)):
-                    pr = 1
-                    for i, p in enumerate(level.primes):
-                        if r % p == 0:
-                            pr *= signs[i]
-                    if pr != -1:
-                        bad = True
-                        break
-            if bad:
-                continue
+        if any(_sign_product(signs, k) != -1 for k in fixed):
+            continue
         out.append(SignAssignment(level, signs))
     return tuple(out)
 
@@ -170,7 +169,6 @@ def sign_divisor(
             cusp = base
             for u in subset:
                 weight *= signs[u]
-                g = math.gcd(u, cusp)
-                cusp = u * cusp // (g * g)
+                cusp = _al_label(u, cusp)
             coeffs[level.divisor_index(cusp)] += weight
     return CuspDivisor(level, tuple(Fraction(c) for c in coeffs))

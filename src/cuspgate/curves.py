@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-
-from .arith import factor
+from math import isqrt, lcm
 
 Coeff = int | Fraction
 
@@ -276,27 +274,46 @@ def double_x(e: WeierstrassModel, x: Coeff) -> Fraction:
 
 
 def _rational_cubic_roots(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
-    """All rational roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0), exact."""
+    """All rational roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0), exact.
+
+    X = c3 x turns the cubic into the monic g(X) = X^3 + a X^2 + b X + c
+    with a = c2, b = c1 c3, c = c0 c3^2, whose rational roots are integers.
+    g is monotone on each side of its critical points
+    (-a -+ sqrt(a^2 - 3b)) / 3, so each piece holds at most one integer
+    root, found by bisection inside Fujiwara's bound
+    |X| <= 2 max(|a|, |b|^(1/2), |c/2|^(1/3)); no coefficient is factored.
+    """
     if c3 == 0:
         raise ValueError("leading coefficient must be nonzero")
+    a, b, c = c2, c1 * c3, c0 * c3 * c3
+
+    def g(x: int) -> int:
+        return ((x + a) * x + b) * x + c
+
+    bound = 2 * max(
+        abs(a), 1 << (abs(b).bit_length() + 1) // 2, 1 << (abs(c).bit_length() + 2) // 3
+    )
+    q = a * a - 3 * b
+    if q <= 0:  # g is increasing
+        pieces = [(-bound, bound, 1)]
+    else:
+        s = isqrt(q)
+        # floors of the critical points, exact for irrational sqrt(q) too
+        lo = (-a - s - (s * s != q)) // 3
+        hi = (-a + s) // 3
+        pieces = [(-bound, lo, 1), (lo + 1, hi, -1), (hi + 1, bound, 1)]
     roots = []
-    coeffs = [c3, c2, c1, c0]
-    while coeffs[-1] == 0 and len(coeffs) > 1:
-        coeffs.pop()
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-    lead, const = coeffs[0], coeffs[-1]
-    if len(coeffs) == 1:
-        return roots
-    # n/q in lowest terms is a root iff c3 n^3 + c2 n^2 q + c1 n q^2 + c0 q^3 == 0
-    leads = factor(abs(lead)).divisors()
-    for p in factor(abs(const)).divisors():
-        for q in leads:
-            if gcd(p, q) != 1:
-                continue
-            for n in (p, -p):
-                if c3 * n**3 + c2 * n * n * q + c1 * n * q * q + c0 * q**3 == 0:
-                    roots.append(Fraction(n, q))
+    for start, stop, sign in pieces:
+        if start > stop or sign * g(start) > 0 or sign * g(stop) < 0:
+            continue
+        while start < stop:  # least x in the piece with sign * g(x) >= 0
+            mid = (start + stop) // 2
+            if sign * g(mid) < 0:
+                start = mid + 1
+            else:
+                stop = mid
+        if g(start) == 0:
+            roots.append(Fraction(start, c3))
     return sorted(roots)
 
 

@@ -4,9 +4,10 @@ Cusps are labeled by divisors r|N (P_r = the cusp of denominator r) and
 listed in tensor "bit order": index k corresponds to the divisor
 prod(p_i ** bit_i(k)) over the ascending primes p_i of N.  The linear map
 `lambda_forward` (per-prime blocks [[p,1],[1,p]] scaled by 1/24) carries
-eta-exponent vectors to cusp divisors; its exact inverse plus two parity
-contractions decide principality, divisor order, and the full group
-structure of the cuspidal subgroup.
+eta-exponent vectors to cusp divisors.  Its inverse is 24 K / D with
+K = tensor_i [[p_i,-1],[-1,p_i]] and D = prod(p_i^2 - 1), so one integer
+congruence system mod D (`_principal_residues`) decides principality,
+divisor order, and the full group structure of the cuspidal subgroup.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ class DivisorVector:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert len(self.coeffs) == 1 << self.level.t
-        assert all(isinstance(c, Fraction) for c in self.coeffs)
+        if len(self.coeffs) != 1 << self.level.t:
+            raise ValueError(f"level {self.level.n} needs {1 << self.level.t} coefficients")
+        if not all(isinstance(c, Fraction) for c in self.coeffs):
+            raise TypeError("coefficients must be Fractions")
 
     @classmethod
     def zero(cls, level: SquarefreeLevel):
@@ -91,11 +94,13 @@ class DivisorVector:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other):
-        assert self.level == other.level
+        if self.level != other.level:
+            raise ValueError("mismatched levels")
         return type(self)(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        assert self.level == other.level
+        if self.level != other.level:
+            raise ValueError("mismatched levels")
         return type(self)(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rmul__(self, k):
@@ -135,63 +140,69 @@ def lambda_forward(v: EtaVector) -> CuspDivisor:
     return CuspDivisor(v.level, tuple(scale * c for c in coeffs))
 
 
+def _modulus(level: SquarefreeLevel) -> int:
+    """D = prod(p^2 - 1), the denominator of lambda_inverse."""
+    return math.prod(p * p - 1 for p in level.primes)
+
+
 def lambda_inverse(w: CuspDivisor) -> EtaVector:
     """Exact inverse of lambda_forward: 24 * tensor_i [[p,-1],[-1,p]]/(p^2-1)."""
     coeffs = [Fraction(c) for c in w.coeffs]
-    den = 1
     for i, p in enumerate(w.level.primes):
         _apply_slot(coeffs, i, p, -1, -1, p)
-        den *= p * p - 1
-    scale = Fraction(24, den)
+    scale = Fraction(24, _modulus(w.level))
     return EtaVector(w.level, tuple(scale * c for c in coeffs))
 
 
-def _parity_contractions(u: EtaVector) -> list[Fraction]:
-    """For each prime slot i: sum of entries over divisors divisible by p_i."""
-    sums = []
-    for i in range(u.level.t):
-        s = sum((c for k, c in enumerate(u.coeffs) if k >> i & 1), Fraction(0))
-        sums.append(s)
-    return sums
+def _principal_residues(level: SquarefreeLevel, coeffs) -> list[int]:
+    """The 2^t + t integers that all vanish mod D exactly when the degree-0
+    integral divisor with these coefficients is principal.
+
+    lambda_inverse(w) = 24 K w / D, so the eta-exponent preimage is
+    integral iff 24 (K w)_k = 0 (mod D) for every cusp k, and its sum over
+    the divisors divisible by p_i is even iff
+    12 * sum_{bit_i(k)=1} (K w)_k = 0 (mod D).
+    """
+    kw = list(coeffs)
+    for i, p in enumerate(level.primes):
+        _apply_slot(kw, i, p, -1, -1, p)
+    residues = [24 * c for c in kw]
+    for i in range(level.t):
+        residues.append(12 * sum(c for k, c in enumerate(kw) if k >> i & 1))
+    return residues
+
+
+def _integral_coeffs(w: CuspDivisor, caller: str) -> list[int]:
+    if not w.is_integral():
+        raise ValueError(f"{caller} expects an integral divisor")
+    return [c.numerator for c in w.coeffs]
 
 
 def is_principal(w: CuspDivisor) -> bool:
     """Whether the integral divisor w is a divisor of a function.
 
-    Three lattice conditions: the eta-exponent preimage is integral, the
-    degree vanishes, and every per-prime contraction of the preimage is
-    even.
+    w is principal iff its degree vanishes and every entry of
+    `_principal_residues` is 0 mod D: the eta-exponent preimage is
+    integral and each of its per-prime contractions is even.
     """
-    if not w.is_integral():
-        raise ValueError("is_principal expects an integral divisor")
-    if w.degree() != 0:
+    coeffs = _integral_coeffs(w, "is_principal")
+    if sum(coeffs) != 0:
         return False
-    u = lambda_inverse(w)
-    if not u.is_integral():
-        return False
-    return all(s % 2 == 0 for s in _parity_contractions(u))
+    D = _modulus(w.level)
+    return all(r % D == 0 for r in _principal_residues(w.level, coeffs))
 
 
 def divisor_order(w: CuspDivisor) -> int:
     """Least n >= 1 with n*w principal.
 
-    The integrality condition pins n to multiples of the denominator lcm
-    of the eta-exponent preimage; the parity condition can at most double
-    that, so only two candidates need testing.
+    The residues of n*w are n times those of w, and n*r = 0 (mod D) for
+    every residue r exactly when D / gcd(D, r's) divides n.
     """
-    if not w.is_integral():
-        raise ValueError("divisor_order expects an integral divisor")
-    if w.degree() != 0:
+    coeffs = _integral_coeffs(w, "divisor_order")
+    if sum(coeffs) != 0:
         raise ValueError("divisor_order expects a degree-0 divisor")
-    u = lambda_inverse(w)
-    n0 = 1
-    for c in u.coeffs:
-        n0 = n0 * c.denominator // math.gcd(n0, c.denominator)
-    if is_principal(n0 * w):
-        return n0
-    if not is_principal(2 * n0 * w):
-        raise AssertionError(f"{2 * n0} times the divisor is not principal")
-    return 2 * n0
+    D = _modulus(w.level)
+    return D // math.gcd(D, *_principal_residues(w.level, coeffs))
 
 
 def ogg_order(level: SquarefreeLevel, signs) -> int:
@@ -215,35 +226,16 @@ def ogg_order(level: SquarefreeLevel, signs) -> int:
 
 def _congruence_rows(level: SquarefreeLevel) -> tuple[list[list[int]], int]:
     """Integer congruence system C x = 0 (mod D) cutting out the principal
-    sublattice in coordinates x_d (d|N, d != 1) w.r.t. the basis P_d - P_1.
+    sublattice in coordinates x_d (d|N, d != 1) w.r.t. the basis P_d - P_1:
+    column d holds the `_principal_residues` of P_d - P_1.
     """
-    t = level.t
-    size = 1 << t
-    primes = level.primes
-    D = 1
-    for p in primes:
-        D *= p * p - 1
-
-    def K_entry(k, j):
-        e = 1
-        for i, p in enumerate(primes):
-            e *= p if (k >> i & 1) == (j >> i & 1) else -1
-        return e
-
-    rows = []
-    # integrality of the eta preimage: 24 * (K w)_k = 0 (mod D)
-    for k in range(size):
-        rows.append([24 * (K_entry(k, j) - K_entry(k, 0)) for j in range(1, size)])
-    # evenness of the contractions: 12 * sum_{bit_i(k)=1} (K w)_k = 0 (mod D)
-    for i in range(t):
-        row = [0] * (size - 1)
-        for k in range(size):
-            if not k >> i & 1:
-                continue
-            for j in range(1, size):
-                row[j - 1] += 12 * (K_entry(k, j) - K_entry(k, 0))
-        rows.append(row)
-    return rows, D
+    size = 1 << level.t
+    columns = []
+    for j in range(1, size):
+        basis = [0] * size
+        basis[0], basis[j] = -1, 1
+        columns.append(_principal_residues(level, basis))
+    return [list(row) for row in zip(*columns)], _modulus(level)
 
 
 def cuspidal_group_structure(level: SquarefreeLevel) -> tuple[int, ...]:
@@ -272,8 +264,7 @@ def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:
         raise ValueError("2-old projection needs an even level")
     target = SquarefreeLevel.of(w.level.n // 2)
     coeffs = [Fraction(0)] * (1 << target.t)
-    for k, c in enumerate(w.coeffs):
-        d = w.level.divisors[k]
+    for d, c in zip(w.level.divisors, w.coeffs):
         odd = d // 2 if d % 2 == 0 else d
         coeffs[target.divisor_index(odd)] += c
     return CuspDivisor(target, tuple(coeffs))

@@ -2,9 +2,10 @@
 
 `apply_transform` used to lift every coefficient and every entry of
 (u, r, s, t) to a Fraction and divide by u^k even when u = 1, and
-`_rational_cubic_roots` evaluated each candidate p/q by Horner's rule over
-Fraction.  The library now stays in int where it can; the suite compares it
-with these forms.
+`_rational_cubic_roots` factored the leading and constant coefficients and
+evaluated each candidate p/q by Horner's rule over Fraction.  The library
+now stays in int where it can and finds the cubic's roots by bisection
+without factoring; the suite compares it with these forms.
 """
 
 from __future__ import annotations

@@ -1,0 +1,87 @@
+"""The Fraction form of the principal-lattice test, kept as a test oracle.
+
+`cusps` used to decide principality from the exact eta-exponent preimage
+`lambda_inverse(w)`: it must be integral and each of its per-prime
+contractions (the sum over the divisors divisible by p_i) must be even.
+The order then came from the denominator lcm n0 of that preimage and a test
+of the two candidates n0 and 2*n0, and the group's congruence rows were
+built entry by entry from K = tensor_i [[p,-1],[-1,p]].  The library now
+reads all three off one integer residue vector mod D; the suite compares
+it with these forms.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from cuspgate.cusps import CuspDivisor, SquarefreeLevel, lambda_inverse
+
+
+def parity_contractions(u) -> list[Fraction]:
+    """For each prime slot i: sum of entries over divisors divisible by p_i."""
+    return [
+        sum((c for k, c in enumerate(u.coeffs) if k >> i & 1), Fraction(0))
+        for i in range(u.level.t)
+    ]
+
+
+def is_principal(w: CuspDivisor) -> bool:
+    """Degree 0, integral preimage, and every contraction even."""
+    if not w.is_integral():
+        raise ValueError("is_principal expects an integral divisor")
+    if w.degree() != 0:
+        return False
+    u = lambda_inverse(w)
+    if not u.is_integral():
+        return False
+    return all(s % 2 == 0 for s in parity_contractions(u))
+
+
+def divisor_order(w: CuspDivisor) -> int:
+    """n0 = lcm of the preimage's denominators makes it integral; the parity
+    condition can at most double that."""
+    if not w.is_integral():
+        raise ValueError("divisor_order expects an integral divisor")
+    if w.degree() != 0:
+        raise ValueError("divisor_order expects a degree-0 divisor")
+    n0 = 1
+    for c in lambda_inverse(w).coeffs:
+        n0 = n0 * c.denominator // math.gcd(n0, c.denominator)
+    if is_principal(n0 * w):
+        return n0
+    if not is_principal(2 * n0 * w):
+        raise AssertionError(f"{2 * n0} times the divisor is not principal")
+    return 2 * n0
+
+
+def congruence_rows(level: SquarefreeLevel) -> tuple[list[list[int]], int]:
+    """The rows C and modulus D of `cusps._congruence_rows`, one entry of K
+    at a time."""
+    t = level.t
+    size = 1 << t
+    primes = level.primes
+    D = 1
+    for p in primes:
+        D *= p * p - 1
+
+    def K_entry(k, j):
+        e = 1
+        for i, p in enumerate(primes):
+            e *= p if (k >> i & 1) == (j >> i & 1) else -1
+        return e
+
+    rows = []
+    # integrality of the eta preimage: 24 * (K w)_k = 0 (mod D)
+    for k in range(size):
+        rows.append([24 * (K_entry(k, j) - K_entry(k, 0)) for j in range(1, size)])
+    # evenness of the contractions: 12 * sum_{bit_i(k)=1} (K w)_k = 0 (mod D)
+    for i in range(t):
+        row = [0] * (size - 1)
+        for k in range(size):
+            if not k >> i & 1:
+                continue
+            for j in range(1, size):
+                row[j - 1] += 12 * (K_entry(k, j) - K_entry(k, 0))
+        rows.append(row)
+    return rows, D

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -157,6 +158,16 @@ def test_torsion2(capsys):
     doc = run_json(capsys, "torsion2", "--curve", "0,23,0,120,0")
     assert doc["result"]["label"] == "Z/2 x Z/2"
     assert doc["result"]["roots"] == ["-15", "-8", "0"]
+
+
+@pytest.mark.parametrize(
+    "curve", ["0,0,0,1,1000000000000000000000000000057", "0,0,0,1e300,1e-300", "0,0,0,1e1000,1e-1000"]
+)
+def test_torsion2_huge_coefficients_within_budget(capsys, curve):
+    start = time.perf_counter()
+    doc = run_json(capsys, "torsion2", "--curve", curve)
+    assert doc["result"] == {"label": "trivial", "roots": []}
+    assert time.perf_counter() - start < 2
 
 
 def test_curve_transform(capsys):

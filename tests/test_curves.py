@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -275,3 +276,25 @@ def test_rational_cubic_roots_with_an_irreducible_quadratic(linear, k, scale):
     got = _rational_cubic_roots(*poly)
     assert got == curves_oracle.rational_cubic_roots(*poly)
     assert got == [Fraction(*linear)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_factors, st.integers(-30, 30), st.integers(-30, 30), nonzero_ints)
+def test_rational_cubic_roots_near_the_critical_points(linear, u, v, scale):
+    """(q x - p)(x^2 + u x + v): roots on both sides of, and next to, the
+    critical points where the bisection pieces meet."""
+    poly = _times_linear([scale, scale * u, scale * v], *linear)
+    assert _rational_cubic_roots(*poly) == curves_oracle.rational_cubic_roots(*poly)
+
+
+def test_two_torsion_of_huge_roots_within_budget():
+    """Bisection needs no factoring, so 300-digit roots are found at once
+    (the CLI tests take the huge coefficients with no root)."""
+    start = time.perf_counter()
+    n = 10**300 + 7
+    full = two_torsion_structure(WeierstrassModel(0, 0, 0, -n * n, 0))  # y^2 = x^3 - n^2 x
+    assert full.roots == (-n, 0, n)
+    # 5 (3x - n)(3x + 2)^2: a rational simple root and a rational double root
+    poly = _times_linear(_times_linear(_times_linear([5], n, 3), -2, 3), -2, 3)
+    assert _rational_cubic_roots(*poly) == [Fraction(-2, 3), Fraction(n, 3)]
+    assert time.perf_counter() - start < 2

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspgate.arith import factor
+from cuspgate.arith import factor, valuation
+from cuspgate.atkin_lehner import admissible_sign_assignments, sign_divisor
 from cuspgate.cusps import (
     CuspDivisor,
     EtaVector,
@@ -18,6 +19,7 @@ from cuspgate.cusps import (
     lambda_inverse,
     ogg_order,
 )
+import cusps_oracle
 from lattice_oracle import kernel_group_structure
 
 levels = st.sampled_from([2, 3, 11, 14, 15, 17, 30, 35, 66, 105])
@@ -55,6 +57,14 @@ def test_divisor_vector_helpers():
     assert (w - w).is_zero()
     assert (2 * w).coeff(1) == 4
     assert (-w).coeff(15) == 2
+    with pytest.raises(ValueError):
+        CuspDivisor(L, (Fraction(1),))
+    with pytest.raises(TypeError):
+        CuspDivisor(L, (1, 0, 0, -1))
+    with pytest.raises(ValueError):
+        w + CuspDivisor.zero(SquarefreeLevel.of(14))
+    with pytest.raises(ValueError):
+        w - CuspDivisor.zero(SquarefreeLevel.of(14))
 
 
 def test_lambda_forward_frozen():
@@ -138,7 +148,7 @@ def test_t1_parity_wrinkle():
 
 def brute_order(w, cap=600):
     for n in range(1, cap + 1):
-        if is_principal(n * w):
+        if cusps_oracle.is_principal(n * w):
             return n
     raise AssertionError("order exceeds cap")
 
@@ -155,6 +165,96 @@ def test_divisor_order_matches_brute_force(n, raw):
     coeffs.append(-sum(coeffs, Fraction(0)))
     w = CuspDivisor(L, tuple(coeffs))
     assert divisor_order(w) == brute_order(w)
+
+
+def agrees_with_fraction_oracle(w):
+    """The order and, at the multiples around it, principality agree with
+    the Fraction oracle."""
+    n = divisor_order(w)
+    assert n == cusps_oracle.divisor_order(w)
+    for m in {1, n, 2 * n, max(n // 2, 1)}:
+        assert is_principal(m * w) == cusps_oracle.is_principal(m * w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 11, 17, 30, 35, 66, 105, 210, 1155, 2310]).flatmap(
+        lambda n: st.lists(
+            st.integers(-50, 50),
+            min_size=1 << SquarefreeLevel.of(n).t,
+            max_size=1 << SquarefreeLevel.of(n).t,
+        ).map(lambda raw: (n, raw))
+    )
+)
+def test_order_and_principality_match_fraction_oracle(nraw):
+    n, raw = nraw
+    L = SquarefreeLevel.of(n)
+    coeffs = [Fraction(c) for c in raw]
+    coeffs[0] -= sum(coeffs)
+    w = CuspDivisor(L, tuple(coeffs))
+    agrees_with_fraction_oracle(w)
+    shifted = w + CuspDivisor.from_map(L, {1: 1})
+    assert not is_principal(shifted) and not cusps_oracle.is_principal(shifted)
+
+
+def test_sign_divisors_match_fraction_oracle():
+    """Every admissible sign divisor below 2310, built as the paper's
+    (1 - e_u w_u)...P_1."""
+    checked = 0
+    for n in range(2, 2310):
+        if not factor(n).is_squarefree():
+            continue
+        L = SquarefreeLevel.of(n)
+        for a in admissible_sign_assignments(L):
+            agrees_with_fraction_oracle(sign_divisor(L, {p: -b for p, b in zip(L.primes, a.signs)}))
+            checked += 1
+    assert checked == 1610
+
+
+def test_congruence_rows_match_entrywise_oracle():
+    levels = [n for n in range(2, 2310) if factor(n).is_squarefree()] + [30030]
+    for n in levels:
+        L = SquarefreeLevel.of(n)
+        assert _congruence_rows(L) == cusps_oracle.congruence_rows(L), n
+
+
+def closed_form_parts(level):
+    """{l: sorted l-power invariants} for every prime l >= 5 dividing some
+    e_S = prod_{p in S}(p - 1) * prod_{p not in S}(p + 1), S a nonempty set
+    of the primes of N: the l-part of the cuspidal group is the sum of
+    Z/l^{v_l(e_S)} over S."""
+    parts = {}
+    for mask in range(1, 1 << level.t):
+        e = 1
+        for i, p in enumerate(level.primes):
+            e *= p - 1 if mask >> i & 1 else p + 1
+        for ell in factor(e).primes():
+            if ell >= 5:
+                parts.setdefault(ell, []).append(ell ** valuation(e, ell))
+    return {ell: sorted(powers) for ell, powers in parts.items()}
+
+
+def test_group_structure_matches_closed_form_at_primes_from_5():
+    """Diagonalising each block [[p,1],[1,p]] by [[1,1],[1,-1]] changes the
+    lattice only by a power of 2, so away from 2 and 3 the group is the sum
+    over S of Z/e_S (ROADMAP item 3, after Takagi's class number formula)."""
+    levels = [n for n in range(2, 2400) if factor(n).is_squarefree()] + [30030, 255255]
+    checked = 0
+    for n in levels:
+        L = SquarefreeLevel.of(n)
+        struct = cuspidal_group_structure(L)
+        rest = 1
+        for d in struct:
+            rest *= d
+        for ell, powers in closed_form_parts(L).items():
+            got = sorted(ell ** valuation(d, ell) for d in struct if d % ell == 0)
+            assert got == powers, (n, ell)
+            rest //= ell ** sum(valuation(q, ell) for q in powers)
+            checked += 1
+        # no prime l >= 5 divides the group unless it divides some e_S
+        rest //= 2 ** valuation(rest, 2) * 3 ** valuation(rest, 3)
+        assert rest == 1, n
+    assert checked == 2686
 
 
 def test_group_structure_frozen():
@@ -190,7 +290,8 @@ def test_group_structure_matches_kernel_oracle():
 
 
 def test_group_structure_vs_element_enumeration():
-    """BFS over generators with the principality oracle recovers the order."""
+    """BFS over generators with the Fraction principality oracle recovers
+    the order."""
     for n in (11, 14, 15, 17):
         L = SquarefreeLevel.of(n)
         size = 1 << L.t
@@ -205,7 +306,7 @@ def test_group_structure_vs_element_enumeration():
             w = frontier.pop()
             for g in gens:
                 x = w + g
-                if all(not is_principal(x - u) for u in seen):
+                if all(not cusps_oracle.is_principal(x - u) for u in seen):
                     seen.append(x)
                     frontier.append(x)
         order = 1

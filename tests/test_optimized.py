@@ -14,7 +14,7 @@ from cuspgate.searches import _assert_z2z4_torsion
 def outcome(fn, *args):
     try:
         fn(*args)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, TypeError, AssertionError) as exc:
         return type(exc).__name__
     return "returned"
 
@@ -25,13 +25,16 @@ print(outcome(Factorization, 9, ((9, 1),)))
 print(outcome(_assert_z2z4_torsion, WeierstrassModel(1, 4, 0, 1, 0), 1, 5))
 print(outcome(_assert_z2z4_torsion, WeierstrassModel(1, 4, 0, 1, 0), 1, 3))
 print(outcome(_assert_z2z4_torsion, WeierstrassModel(0, -1, 1, -10, -20), 1, 5))
-w = cusps.CuspDivisor(cusps.SquarefreeLevel.of(11), (Fraction(1), Fraction(-1)))
+L11 = cusps.SquarefreeLevel.of(11)
+w = cusps.CuspDivisor(L11, (Fraction(1), Fraction(-1)))
 print(outcome(gates.gate_pq_refined, 3, 11))
 print(outcome(cusps.divisor_order, w))
+print(outcome(cusps.CuspDivisor, L11, (Fraction(1),)))
+print(outcome(cusps.CuspDivisor, L11, (1, -1)))
+print(outcome(w.__add__, cusps.CuspDivisor.zero(cusps.SquarefreeLevel.of(13))))
+print(outcome(w.__sub__, cusps.CuspDivisor.zero(cusps.SquarefreeLevel.of(13))))
 gates.num = lambda r: 2  # every cusp order even, though 3 = 11 = 3 (mod 8)
 print(outcome(gates.gate_pq_refined, 3, 11))
-cusps.is_principal = lambda w: False  # neither n0 nor 2 n0 makes w principal
-print(outcome(cusps.divisor_order, w))
 print(outcome(tate._exact, 7, 2, 1))
 # an I1* model at 2, v(disc) = 8, passed with v = 4: no chain step is allowed
 i1_star = WeierstrassModel(0, 5, 0, -4, 0)
@@ -53,8 +56,11 @@ def test_checks_still_raise_under_python_O():
         "AssertionError",  # 11a1 has no full 2-torsion
         "returned",  # the refined gate at 33
         "returned",  # the order of P_1 - P_11 at level 11
+        "ValueError",  # one coefficient for the two cusps of X0(11)
+        "TypeError",  # int coefficients
+        "ValueError",  # a level-11 divisor plus a level-13 divisor
+        "ValueError",  # the same, subtracted
         "AssertionError",  # the pq gate's class and parity disagree
-        "AssertionError",  # divisor_order finds no principal multiple
         "AssertionError",  # 7 is not divisible by 2
         "AssertionError",  # an I_n* chain longer than v(disc) - 4 allows
     ]
