@@ -15,6 +15,7 @@ import os
 import sys
 import time
 
+from cuspgate.cli import _positive_int
 from cuspgate.searches import (
     search_2p_family,
     search_4pq_family,
@@ -44,15 +45,20 @@ def show_hits(name, hits, limit):
         print(f"  ... {len(hits) - limit} more (raise --show to see them)")
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    try:
+        default_jobs = _positive_int(os.environ.get("CUSPGATE_JOBS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        print(f"family_scan.py: error: CUSPGATE_JOBS: {exc}", file=sys.stderr)
+        return 2
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("families", nargs="*", default=sorted(RUNNERS),
                     help="subset of families to run (default: all)")
     ap.add_argument("--bound", type=int, default=None,
                     help="override the per-family default bound for every family run")
-    ap.add_argument("--jobs", type=int, default=int(os.environ.get("CUSPGATE_JOBS", "1")))
+    ap.add_argument("--jobs", type=_positive_int, default=default_jobs)
     ap.add_argument("--show", type=int, default=12, help="max rows to print per family")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     unknown = set(args.families) - set(RUNNERS)
     if unknown:
         ap.error(f"unknown families: {', '.join(sorted(unknown))} "

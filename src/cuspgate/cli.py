@@ -291,15 +291,11 @@ def _cmd_tate(args) -> dict:
 
 
 def _cmd_conductor(args) -> dict:
-    from .arith import factor
-    from .tate import tate_algorithm
+    from .tate import _local_data
 
-    e = _parse_curve(args.curve)
-    e = e.integral_model()[0]
     local = []
     n = 1
-    for p in factor(abs(int(e.disc))).primes():
-        res = tate_algorithm(e, p)
+    for p, res in _local_data(_parse_curve(args.curve)):
         n *= p**res.f
         if res.f:
             local.append({"f": res.f, "kodaira": res.kodaira, "p": p})

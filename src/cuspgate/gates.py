@@ -127,17 +127,14 @@ def gate_nonsemistable(n: int) -> GateVerdict:
     fac = factor(n)
     if fac.is_squarefree():
         raise ValueError(f"{n} is square-free; use gate_squarefree")
-    c = 0
-    m = n
-    while m % 2 == 0:
-        m //= 2
-        c += 1
-    odd_primes = factor(m).primes() if m > 1 else ()
+    c = fac.pairs[0][1] if fac.pairs[0][0] == 2 else 0
+    odd = fac.pairs[1:] if c else fac.pairs
+    m = n >> c
     known = n in KNOWN_ODD_NONSEMISTABLE
     data = (("known_odd_congruence", int(known)), ("odd_part", m), ("two_part", 2**c))
-    if len(odd_primes) > 1:
+    if len(odd) > 1:
         return GateVerdict(
-            n, False, (f"odd part {m} has {len(odd_primes)} prime factors; at most one allowed",), data
+            n, False, (f"odd part {m} has {len(odd)} prime factors; at most one allowed",), data
         )
     if m == 1:
         return GateVerdict(n, True, (f"N = 2^{c} is a pure power of two",), data)
@@ -151,6 +148,6 @@ def gate_nonsemistable(n: int) -> GateVerdict:
     return GateVerdict(
         n,
         True,
-        (f"N = {2 ** c} * {odd_primes[0]}^{factor(m).pairs[0][1]} with admissible 2-part",),
+        (f"N = {2 ** c} * {odd[0][0]}^{odd[0][1]} with admissible 2-part",),
         data,
     )

@@ -1,15 +1,17 @@
 """Diophantine scans for the curve families attached to odd modular degree.
 
-Every scan is a plain enumeration over an integer range, so ranges can be
-chunked across processes (`jobs`) without changing the result: chunks are
-submitted in order and concatenated in order, making output byte-identical
-to the single-process run.
+Every scan is a plain enumeration over an integer range, and `_run_scan`
+runs all five.  With `jobs` > 1 it cuts the range into 16 equal-width
+pieces per process and submits the last piece first: in every family a
+value costs more the further along the range it lies (2p's k = k_max tries
+about as many m as all smaller k together), so the costly pieces start
+early and the cheap ones fill in behind them.  The pieces' hits are
+concatenated in range order, so the output is byte-identical to the
+single-process run.
 
 The 8p scan enumerates square roots: for each case it walks the odd m with
 p = m^2 - shift in its range and tests only those p for primality, then
-sorts the hits by (p, case).  The 2p scan splits k into contiguous chunks
-weighted by the about 2^(k/2) values of m each k tries, not into equal-width
-ones, so the workers get about equal shares of the work.
+sorts the hits by (p, case).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .arith import Factorization, factor, is_prime, is_square
 from .curves import INFINITY, Point, WeierstrassModel, group_law_add, two_torsion_structure
@@ -36,53 +37,44 @@ class SearchHit:
         return dict(self.params)
 
 
-def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    total = hi - lo
-    if total <= 0:
-        return []
-    jobs = max(1, min(jobs, total))
-    step = -(-total // jobs)
-    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+def _hit(family: str, params: tuple, curve: WeierstrassModel | None, tags=()) -> SearchHit:
+    """A hit with its curve's conductor (none for a parameter-only hit)."""
+    cond = None if curve is None else _conductor(curve)
+    return SearchHit(family, params, tuple(tags), curve, cond)
 
 
-def _weighted_chunks(lo: int, hi: int, jobs: int, weight) -> list[tuple[int, int]]:
-    """Contiguous chunks of [lo, hi) whose weight(i) sums are about equal."""
-    if hi <= lo:
-        return []
-    prefix = list(accumulate(weight(i) for i in range(lo, hi)))
-    total = prefix[-1]
-    cuts = {lo, hi}
-    for share in range(1, jobs):
-        # cut where the prefix weight comes nearest share/jobs of the total
-        i = min(range(len(prefix)), key=lambda j: abs(jobs * prefix[j] - share * total))
-        cuts.add(lo + i + 1)
-    ordered = sorted(cuts)
-    return list(zip(ordered, ordered[1:]))
+def _twist(m: int) -> int:
+    """+-m normalized to 1 mod 4: the quadratic twist each family reports."""
+    return m if m % 4 == 1 else -m
 
 
-def _pool_jobs(jobs: int) -> int:
-    # more processes than CPUs only adds start-up cost, and an unbounded
-    # count can exhaust the machine's process table
-    return min(jobs, os.cpu_count() or 1)
+# enough pieces per process that the last ones to finish are short
+_PIECES_PER_JOB = 16
+
+
+def _chunks(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into at most `pieces` pieces whose widths differ by <= 1."""
+    n = min(pieces, hi - lo)
+    cuts = [lo + i * (hi - lo) // n for i in range(n + 1)] if n > 0 else []
+    return list(zip(cuts, cuts[1:]))
 
 
 def _run_scan(worker, lo: int, hi: int, jobs: int, *args) -> list[SearchHit]:
-    jobs = _pool_jobs(jobs)
+    """worker(a, b, *args) over [lo, hi), serially or in pieces across
+    processes, with the hits in range order either way."""
+    # more processes than CPUs only adds start-up cost, and an unbounded
+    # count can exhaust the machine's process table
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return worker(lo, hi, *args)
-    return _run_chunks(worker, _chunks(lo, hi, jobs), jobs, *args)
-
-
-def _run_chunks(worker, chunks: list[tuple[int, int]], jobs: int, *args) -> list[SearchHit]:
     # imported here so that only a parallel run pays for multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    out: list[SearchHit] = []
+    pieces = _chunks(lo, hi, jobs * _PIECES_PER_JOB)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(worker, a, b, *args) for a, b in chunks]
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+        # the last piece costs the most, so it goes first
+        futures = [pool.submit(worker, a, b, *args) for a, b in reversed(pieces)]
+        return [h for fut in reversed(futures) for h in fut.result()]
 
 
 # -- prime + 4 = square family ------------------------------------------------
@@ -95,16 +87,9 @@ def _scan_neumann_setzer(lo: int, hi: int) -> list[SearchHit]:
         if not is_prime(p):
             continue
         # the twist with m = 1 (mod 4) is the one of conductor 4p
-        mstar = m if m % 4 == 1 else -m
+        mstar = _twist(m)
         e = WeierstrassModel(0, mstar, 0, -1, 0)
-        hits.append(
-            SearchHit(
-                "neumann-setzer",
-                (("m", m), ("m_curve", mstar), ("p", p)),
-                curve=e,
-                conductor=_conductor(e),
-            )
-        )
+        hits.append(_hit("neumann-setzer", (("m", m), ("m_curve", mstar), ("p", p)), e))
     return hits
 
 
@@ -138,16 +123,13 @@ def _scan_2p(klo: int, khi: int) -> list[SearchHit]:
                 tags = ("in-window",)
             else:
                 tags = ("outside-window",)
-            params = [("k", k), ("m", m), ("p", p)]
-            curve = cond = None
+            params = (("k", k), ("m", m), ("p", p))
             if k >= 6:
-                mstar = m if m % 4 == 1 else -m
+                mstar = _twist(m)
                 curve = WeierstrassModel(1, (mstar - 1) // 4, 0, 2 ** (k - 6), 0)
-                cond = _conductor(curve)
-                params.append(("m_curve", mstar))
+                hits.append(_hit("2p", params + (("m_curve", mstar),), curve, tags))
             else:
-                tags = tags + ("parameter-only",)
-            hits.append(SearchHit("2p", tuple(params), tags, curve, cond))
+                hits.append(_hit("2p", params, None, tags + ("parameter-only",)))
     return hits
 
 
@@ -161,15 +143,7 @@ def search_2p_family(k_max: int, *, jobs: int = 1) -> list[SearchHit]:
     """
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
-    jobs = _pool_jobs(jobs)
-    if jobs <= 1:
-        return _scan_2p(1, k_max + 1)
-    return _run_chunks(_scan_2p, _weighted_chunks(1, k_max + 1, jobs, _2p_candidates), jobs)
-
-
-def _2p_candidates(k: int) -> int:
-    """The number of odd m that _scan_2p tries for this k, about 2^(k/2)."""
-    return (math.isqrt(2**k) + 1) // 2
+    return _run_scan(_scan_2p, 1, k_max + 1, jobs)
 
 
 # -- conductor 8p from p -+ 16/32 ----------------------------------------------
@@ -194,16 +168,9 @@ def _scan_8p(plo: int, phi: int) -> list[SearchHit]:
                 found.append((p, case, m, a4))
     hits = []
     for p, case, m, a4 in sorted(found):
-        mstar = m if m % 4 == 1 else -m
+        mstar = _twist(m)
         e = WeierstrassModel(0, mstar, 0, a4, 0)
-        hits.append(
-            SearchHit(
-                "8p",
-                (("case", case), ("m", mstar), ("p", p)),
-                curve=e,
-                conductor=_conductor(e),
-            )
-        )
+        hits.append(_hit("8p", (("case", case), ("m", mstar), ("p", p)), e))
     return hits
 
 
@@ -246,24 +213,9 @@ def _scan_4pq(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
         if p == q:  # powers of one odd prime cannot differ by 4 or 8
             raise AssertionError(f"{u} and {v} are powers of the same prime {p}")
         for s in (1, -1):
-            e = WeierstrassModel(0, -s * (u + v), 0, u * v, 0)
-            hits.append(
-                SearchHit(
-                    "4pq",
-                    (
-                        ("alpha", alpha),
-                        ("beta", beta),
-                        ("difference", difference),
-                        ("p", p),
-                        ("q", q),
-                        ("s", s),
-                        ("u", u),
-                        ("v", v),
-                    ),
-                    curve=e,
-                    conductor=_conductor(e),
-                )
-            )
+            params = (("alpha", alpha), ("beta", beta), ("difference", difference))
+            params += (("p", p), ("q", q), ("s", s), ("u", u), ("v", v))
+            hits.append(_hit("4pq", params, WeierstrassModel(0, -s * (u + v), 0, u * v, 0)))
     return hits
 
 
@@ -279,12 +231,6 @@ def search_4pq_family(bound: int, *, difference: int = 8, jobs: int = 1) -> list
 
 
 # -- Z/2 x Z/4 exhaustion ------------------------------------------------------
-
-
-def _z2z4_case(a4: int) -> str:
-    if a4 == 1:
-        return "unit"
-    return "prime-power" if len(factor(a4).pairs) == 1 else "two-prime"
 
 
 def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
@@ -309,21 +255,16 @@ def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
             a2 = (k - 1) // 4
             e = WeierstrassModel(1, a2, 0, a4, 0)
             _assert_z2z4_torsion(e, c, beta)
-            tags = [_z2z4_case(a4)]
+            # a4 = c^2 has the primes of c: none, one, or (within the odd
+            # support bound just checked) two
+            tags = [("unit", "prime-power", "two-prime")[len(fac_c.pairs)]]
             if math.gcd(c, alpha * beta) == 1:
                 # a shared factor of c and alpha*beta means the hit is a
                 # repackaging of a smaller one (non-minimal model); only
                 # primitive hits are genuinely new curves
                 tags.append("primitive")
-            hits.append(
-                SearchHit(
-                    "z2z4",
-                    (("a2", a2), ("a4", a4), ("alpha", alpha), ("beta", beta), ("c", c)),
-                    tuple(tags),
-                    e,
-                    _conductor(e),
-                )
-            )
+            params = (("a2", a2), ("a4", a4), ("alpha", alpha), ("beta", beta), ("c", c))
+            hits.append(_hit("z2z4", params, e, tags))
     return hits
 
 

@@ -296,8 +296,12 @@ def _in_star(cur, total, p, v, minimal):
 def conductor(e: WeierstrassModel) -> int:
     """Conductor of E/Q (the model need not be minimal, only integral up to
     clearing denominators)."""
+    return math.prod(p**res.f for p, res in _local_data(e))
+
+
+def _local_data(e: WeierstrassModel):
+    """Yield (p, tate_algorithm) at each prime of the discriminant of the
+    integral model of e, ascending."""
     e = e.integral_model()[0]
-    n = 1
     for p in factor(abs(int(e.disc))).primes():
-        n *= p ** tate_algorithm(e, p).f
-    return n
+        yield p, tate_algorithm(e, p)

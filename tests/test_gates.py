@@ -161,3 +161,43 @@ def test_gate_dispatch_covers_every_level(n):
     assert verdict.level == n
     assert isinstance(verdict.passed, bool)
     assert verdict.reasons
+
+
+def _trial_factor(m: int) -> list[tuple[int, int]]:
+    pairs, d = [], 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1
+    return pairs + ([(m, 1)] if m > 1 else [])
+
+
+def test_gate_nonsemistable_matches_trial_division_below_5000():
+    """Every non-square-free N < 5000 against a division loop for the
+    2-part and trial division for the odd part."""
+    for n in range(2, 5000):
+        pairs = _trial_factor(n)
+        if all(e == 1 for _, e in pairs):
+            continue
+        c, m = 0, n
+        while m % 2 == 0:
+            m //= 2
+            c += 1
+        odd = _trial_factor(m)
+        g = gate_nonsemistable(n)
+        assert g.data_dict() == {
+            "known_odd_congruence": int(n in KNOWN_ODD_NONSEMISTABLE),
+            "odd_part": m,
+            "two_part": 2**c,
+        }
+        assert g.passed == (len(odd) == 0 or (len(odd) == 1 and c in (0, 2, 3)))
+        assert len(g.reasons) == 1
+        if g.passed and odd:
+            (p, s), = odd
+            assert g.reasons[0] == f"N = {2**c} * {p}^{s} with admissible 2-part"
+        elif len(odd) > 1:
+            assert g.reasons[0].startswith(f"odd part {m} has {len(odd)} prime factors")

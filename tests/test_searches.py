@@ -278,13 +278,17 @@ class _InlinePool:
         return fut
 
 
+def _inline_pool(monkeypatch, cpus):
+    _InlinePool.sizes = []
+    monkeypatch.setattr(searches.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+
+
 @pytest.mark.parametrize("cpus, expected", [(None, None), (1, None), (2, 2), (4, 4)])
 def test_run_scan_clamps_jobs_to_cpu_count(monkeypatch, cpus, expected):
     """A huge job count never reaches the pool: it is cut to the CPU count,
     and to a serial run when there is a single CPU (or none reported)."""
-    _InlinePool.sizes = []
-    monkeypatch.setattr(searches.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    _inline_pool(monkeypatch, cpus)
     chunks = []
 
     def worker(a, b):
@@ -293,41 +297,39 @@ def test_run_scan_clamps_jobs_to_cpu_count(monkeypatch, cpus, expected):
 
     out = searches._run_scan(worker, 0, 100, 10**6)
     assert _InlinePool.sizes == ([] if expected is None else [expected])
-    assert len(chunks) == (expected or 1)
-    assert out == chunks and chunks[0][0] == 0 and chunks[-1][1] == 100
+    assert len(chunks) == (1 if expected is None else expected * searches._PIECES_PER_JOB)
+    assert out == sorted(chunks) and out[0][0] == 0 and out[-1][1] == 100
 
 
-def test_2p_weighted_chunks_cover_k_in_order_and_balance():
-    weight = searches._2p_candidates
-    assert searches._weighted_chunks(1, 25, 2, weight) == [(1, 23), (23, 25)]
-    assert searches._weighted_chunks(5, 5, 2, weight) == []
-    for k_max in range(3, 60):
-        total = sum(weight(k) for k in range(1, k_max + 1))
-        for jobs in (2, 3, 4):
-            chunks = searches._weighted_chunks(1, k_max + 1, jobs, weight)
-            assert chunks[0][0] == 1 and chunks[-1][1] == k_max + 1
-            assert all(a < b for a, b in chunks)
-            assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
-            assert len(chunks) <= jobs
-            if k_max >= 12:
-                # one k holds about 29% of the weight, so 4 jobs cannot do better
-                heaviest = max(sum(weight(k) for k in range(a, b)) for a, b in chunks)
-                assert heaviest * jobs <= 1.2 * total
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 50), st.integers(-3, 400), st.integers(1, 70))
+def test_chunks_cover_the_range_in_near_equal_widths(lo, width, pieces):
+    chunks = searches._chunks(lo, lo + width, pieces)
+    assert [i for a, b in chunks for i in range(a, b)] == list(range(lo, lo + width))
+    assert len(chunks) == min(pieces, max(width, 0))
+    widths = [b - a for a, b in chunks]
+    assert not widths or max(widths) - min(widths) <= 1
 
 
-def test_2p_pool_gets_weighted_chunks(monkeypatch):
-    _InlinePool.sizes = []
-    monkeypatch.setattr(searches.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    ranges = []
-    scan = searches._scan_2p
+@pytest.mark.parametrize("lo, hi", [(0, 100), (1, 25), (3, 6001), (7, 9), (5, 5)])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_run_scan_submits_the_last_piece_first(monkeypatch, lo, hi, cpus):
+    """The pieces go to the pool last first and come back in range order."""
+    _inline_pool(monkeypatch, cpus)
+    submitted = []
 
-    def recording_scan(klo, khi):
-        ranges.append((klo, khi))
-        return scan(klo, khi)
+    def worker(a, b, tag):
+        submitted.append((a, b))
+        return [(i, tag) for i in range(a, b)]
 
-    monkeypatch.setattr(searches, "_scan_2p", recording_scan)
-    serial = scan(1, 19)
-    assert search_2p_family(18, jobs=2) == serial
-    assert _InlinePool.sizes == [2]
-    assert ranges == searches._weighted_chunks(1, 19, 2, searches._2p_candidates) == [(1, 17), (17, 19)]
+    out = searches._run_scan(worker, lo, hi, cpus, "x")
+    assert _InlinePool.sizes == [cpus]
+    assert submitted == searches._chunks(lo, hi, cpus * searches._PIECES_PER_JOB)[::-1]
+    assert out == [(i, "x") for i in range(lo, hi)]
+
+
+def test_pieces_match_serial_for_z2z4_and_2p(monkeypatch):
+    _inline_pool(monkeypatch, 2)
+    assert verify_z2z4_classification(600, jobs=2) == verify_z2z4_classification(600)
+    assert search_2p_family(24, jobs=2) == search_2p_family(24)
+    assert _InlinePool.sizes == [2, 2]
