@@ -67,7 +67,11 @@ def main(argv=None) -> int:
     for name in args.families or sorted(RUNNERS):
         bound = args.bound if args.bound is not None else DEFAULT_BOUNDS[name]
         t0 = time.monotonic()
-        out = RUNNERS[name](bound, jobs=args.jobs)
+        try:
+            out = RUNNERS[name](bound, jobs=args.jobs)
+        except ValueError as exc:  # a bound outside the family's domain
+            print(f"family_scan.py: error: {name}: {exc}", file=sys.stderr)
+            return 1
         dt = time.monotonic() - t0
         if name == "z2z4":
             print(f"== z2z4: bound {out.bound}, {len(out.hits)} raw hits ==")

@@ -1,10 +1,14 @@
 """Exact integer/rational primitives shared by every other module.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator), re-exported as ``Rat``.  Primality is deterministic
-Miller-Rabin over the first twelve prime bases, which is a proven-correct
-witness set for everything below ~3.3e24; all searches here stay far under
-that.
+denominator), re-exported as ``Rat``.  `is_prime` and `factor` answer with
+deterministic Miller-Rabin over the first twelve prime bases, a
+proven-correct witness set for everything below ~3.3e24, plus trial division
+and Pollard rho.  A scan that factors every number of a range builds a
+`PrimeSieve` over it instead: a table of smallest prime factors, filled by
+Eratosthenes' sieve, which factors any n it covers in O(log n) divisions.
+The sieve proves its primes by construction, so its factorizations need no
+primality test either.
 """
 
 from __future__ import annotations
@@ -184,6 +188,54 @@ def factor(n: int) -> Factorization:
         stack.append(m // d)
     # every prime here passed is_prime or is one of _SMALL_PRIMES
     return Factorization._of_proven_primes(n, tuple(sorted(found.items())))
+
+
+class PrimeSieve:
+    """The smallest prime factor of every n <= limit, held in one array('I'),
+    for scans that factor every number of a range."""
+
+    __slots__ = ("limit", "_spf")
+
+    def __init__(self, limit: int):
+        # imported here so that only a scan pays for loading array
+        from array import array
+
+        if limit < 1:
+            raise ValueError("sieve limit must be at least 1")
+        self.limit = limit
+        # 0 marks a prime (and 0, 1); a composite holds its smallest prime
+        spf = array("I", [0]) * (limit + 1)
+        root = math.isqrt(limit)
+        small = bytearray([1]) * (root + 1)
+        primes = []
+        for p in range(2, root + 1):
+            if small[p]:
+                primes.append(p)
+                small[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+        # every composite n has its smallest prime p with p*p <= n; smaller
+        # primes are written last, so they win
+        for p in reversed(primes):
+            spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
+        self._spf = spf
+
+    def pairs(self, n: int) -> tuple[tuple[int, int], ...]:
+        """`factor(n).pairs` for 1 <= n <= limit, by repeated table lookups.
+        The sieve proves each p prime (no smaller prime divides it), so the
+        pairs may go to `Factorization._of_proven_primes`."""
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"{n} is outside the sieve's range 1..{self.limit}")
+        spf = self._spf
+        pairs = []
+        m = n
+        while m > 1:
+            p = spf[m] or m
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            pairs.append((p, e))
+        return tuple(pairs)
 
 
 def is_qr(a: int, m: int) -> bool:

@@ -12,6 +12,14 @@ single-process run.
 The 8p scan enumerates square roots: for each case it walks the odd m with
 p = m^2 - shift in its range and tests only those p for primality, then
 sorts the hits by (p, case).
+
+The 4pq and z2z4 scans factor every number they read, so each piece builds
+one `arith.PrimeSieve` (a smallest-prime-factor table) over that range and
+factors by table lookups: for 4pq, u and v up to min(hi + difference,
+bound); for z2z4, c < chi and alpha, beta <= 4 chi + 1, since
+beta^2 <= 16c^2 + 8c + 1.  z2z4 also prunes before listing the divisors of
+c^2: every prime of an odd c is an odd prime of c * alpha * beta, which a
+hit keeps to two, so a c with three or more primes is skipped.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .arith import Factorization, factor, is_prime, is_square
+from .arith import Factorization, PrimeSieve, is_prime, is_square
 from .curves import INFINITY, Point, WeierstrassModel, group_law_add, two_torsion_structure
 from .tate import conductor as _conductor
 
@@ -188,25 +196,27 @@ def search_8p_family(p_max: int, *, jobs: int = 1) -> list[SearchHit]:
 # -- conductor 2^a pq from prime powers 8 apart --------------------------------
 
 
-def _odd_prime_power(n: int) -> tuple[int, int] | None:
+def _odd_prime_power(n: int, sieve: PrimeSieve) -> tuple[int, int] | None:
     if n < 3 or n % 2 == 0:
         return None
-    pairs = factor(n).pairs
+    pairs = sieve.pairs(n)
     if len(pairs) != 1:
         return None
     return pairs[0]
 
 
 def _scan_4pq(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
+    # u < hi <= bound + 1, and v = u + difference is read only up to bound
+    sieve = PrimeSieve(min(hi + difference, bound))
     hits = []
     for u in range(lo | 1, hi, 2):
-        pu = _odd_prime_power(u)
+        pu = _odd_prime_power(u, sieve)
         if pu is None:
             continue
         v = u + difference
         if v > bound:
             continue
-        qv = _odd_prime_power(v)
+        qv = _odd_prime_power(v, sieve)
         if qv is None:
             continue
         (p, alpha), (q, beta) = pu, qv
@@ -234,14 +244,17 @@ def search_4pq_family(bound: int, *, difference: int = 8, jobs: int = 1) -> list
 
 
 def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
+    # c < chi, and alpha, beta <= 4c + 1 since beta^2 <= 16c^2 + 8c + 1
+    sieve = PrimeSieve(4 * chi + 1)
     hits = []
     for c in range(clo | 1, chi, 2):
+        pairs_c = sieve.pairs(c)
+        if len(pairs_c) > 2:
+            # each prime of odd c is an odd prime of c * alpha * beta, and a
+            # hit has at most two of those: no need to try the divisors
+            continue
         a4 = c * c
-        fac_c = factor(c)
-        sq_divisors = Factorization._of_proven_primes(
-            a4, tuple((p, 2 * e) for p, e in fac_c.pairs)
-        ).divisors()
-        for a in sq_divisors:
+        for a in _square_divisors(c, pairs_c):
             b = a4 // a
             k = a + 16 * b
             if k % 4 != 1:
@@ -250,14 +263,13 @@ def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
             sq2, beta = is_square(k + 8 * c)
             if not (sq1 and sq2) or alpha == 0:
                 continue
-            if len(_odd_support(fac_c, alpha, beta)) > 2:
+            if len(_odd_support(pairs_c, alpha, beta, sieve)) > 2:
                 continue
             a2 = (k - 1) // 4
             e = WeierstrassModel(1, a2, 0, a4, 0)
             _assert_z2z4_torsion(e, c, beta)
-            # a4 = c^2 has the primes of c: none, one, or (within the odd
-            # support bound just checked) two
-            tags = [("unit", "prime-power", "two-prime")[len(fac_c.pairs)]]
+            # a4 = c^2 has the primes of c: none, one or two
+            tags = [("unit", "prime-power", "two-prime")[len(pairs_c)]]
             if math.gcd(c, alpha * beta) == 1:
                 # a shared factor of c and alpha*beta means the hit is a
                 # repackaging of a smaller one (non-minimal model); only
@@ -268,11 +280,18 @@ def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
     return hits
 
 
-def _odd_support(fac_c: Factorization, alpha: int, beta: int) -> set[int]:
-    """The odd primes of c * alpha * beta, from the factored c and the small
-    alpha, beta: the same set as factor(c * alpha * beta) gives."""
-    primes = (*fac_c.primes(), *factor(alpha).primes(), *factor(beta).primes())
-    return {p for p in primes if p != 2}
+def _square_divisors(c: int, pairs_c: tuple) -> list[int]:
+    """The divisors of c^2, ascending, from the prime pairs of c."""
+    pairs = tuple((p, 2 * e) for p, e in pairs_c)
+    return Factorization._of_proven_primes(c * c, pairs).divisors()
+
+
+def _odd_support(pairs_c: tuple, alpha: int, beta: int, sieve: PrimeSieve) -> set[int]:
+    """The odd primes of c * alpha * beta, from the prime pairs of c and the
+    sieve's factorizations of alpha and beta: the same set as
+    factor(c * alpha * beta) gives."""
+    pairs = (*pairs_c, *sieve.pairs(alpha), *sieve.pairs(beta))
+    return {p for p, _ in pairs if p != 2}
 
 
 def _assert_z2z4_torsion(e: WeierstrassModel, c: int, beta: int) -> None:

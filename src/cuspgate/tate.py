@@ -159,6 +159,11 @@ def tate_algorithm(e: WeierstrassModel, p: int) -> TateResult:
         raise ValueError("model must have integer coefficients")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _tate(e, p)
+
+
+def _tate(e: WeierstrassModel, p: int) -> TateResult:
+    """tate_algorithm for an integral model and a p already proven prime."""
     cur = e
     total = Transform.identity()
     minimal = True
@@ -303,5 +308,6 @@ def _local_data(e: WeierstrassModel):
     """Yield (p, tate_algorithm) at each prime of the discriminant of the
     integral model of e, ascending."""
     e = e.integral_model()[0]
+    # factor proves its primes, so they skip tate_algorithm's primality test
     for p in factor(abs(int(e.disc))).primes():
-        yield p, tate_algorithm(e, p)
+        yield p, _tate(e, p)

@@ -1,16 +1,26 @@
-"""The 8p scan by primes, kept as a test oracle.
+"""Earlier forms of the scans, kept as test oracles.
 
 `searches._scan_8p` enumerates odd square roots m and tests only
-p = m^2 - shift for primality.  This is the form it replaced: every odd p in
-the range is tested for primality, then each case's p + shift for being an
-odd square.  The hits are built the same way, in the same order.
+p = m^2 - shift for primality.  `scan_8p_by_primes` is the form it replaced:
+every odd p in the range is tested for primality, then each case's p + shift
+for being an odd square.
+
+`searches._scan_4pq` and `searches._scan_z2z4` read every factorization from
+one smallest-prime-factor sieve per piece, and z2z4 skips each c with three
+or more primes before listing divisors.  `scan_4pq_by_factoring` and
+`scan_z2z4_by_factoring` are the forms they replaced: `arith.factor` on every
+candidate, and every odd c tried.
+
+Each oracle builds its hits the same way as the library, in the same order.
 """
 
 from __future__ import annotations
 
-from cuspgate.arith import is_prime, is_square
+import math
+
+from cuspgate.arith import factor, is_prime, is_square
 from cuspgate.curves import WeierstrassModel
-from cuspgate.searches import _8P_CASES, SearchHit
+from cuspgate.searches import _8P_CASES, SearchHit, _assert_z2z4_torsion
 from cuspgate.tate import conductor
 
 
@@ -36,4 +46,62 @@ def scan_8p_by_primes(plo: int, phi: int) -> list[SearchHit]:
                     conductor=conductor(e),
                 )
             )
+    return hits
+
+
+def _odd_prime_power(n: int) -> tuple[int, int] | None:
+    if n < 3 or n % 2 == 0:
+        return None
+    pairs = factor(n).pairs
+    if len(pairs) != 1:
+        return None
+    return pairs[0]
+
+
+def scan_4pq_by_factoring(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
+    hits = []
+    for u in range(lo | 1, hi, 2):
+        pu = _odd_prime_power(u)
+        if pu is None:
+            continue
+        v = u + difference
+        if v > bound:
+            continue
+        qv = _odd_prime_power(v)
+        if qv is None:
+            continue
+        (p, alpha), (q, beta) = pu, qv
+        assert p != q
+        for s in (1, -1):
+            params = (("alpha", alpha), ("beta", beta), ("difference", difference))
+            params += (("p", p), ("q", q), ("s", s), ("u", u), ("v", v))
+            e = WeierstrassModel(0, -s * (u + v), 0, u * v, 0)
+            hits.append(SearchHit("4pq", params, curve=e, conductor=conductor(e)))
+    return hits
+
+
+def scan_z2z4_by_factoring(clo: int, chi: int) -> list[SearchHit]:
+    hits = []
+    for c in range(clo | 1, chi, 2):
+        a4 = c * c
+        fac_c = factor(c)
+        for a in factor(a4).divisors():
+            b = a4 // a
+            k = a + 16 * b
+            if k % 4 != 1:
+                continue
+            sq1, alpha = is_square(k - 8 * c)
+            sq2, beta = is_square(k + 8 * c)
+            if not (sq1 and sq2) or alpha == 0:
+                continue
+            if len({p for p in factor(c * alpha * beta).primes() if p != 2}) > 2:
+                continue
+            a2 = (k - 1) // 4
+            e = WeierstrassModel(1, a2, 0, a4, 0)
+            _assert_z2z4_torsion(e, c, beta)
+            tags = [("unit", "prime-power", "two-prime")[len(fac_c.pairs)]]
+            if math.gcd(c, alpha * beta) == 1:
+                tags.append("primitive")
+            params = (("a2", a2), ("a4", a4), ("alpha", alpha), ("beta", beta), ("c", c))
+            hits.append(SearchHit("z2z4", params, tuple(tags), e, conductor(e)))
     return hits

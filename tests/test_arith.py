@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cuspgate.arith import (
     Factorization,
+    PrimeSieve,
     factor,
     is_prime,
     is_qr,
@@ -98,6 +99,32 @@ def test_factor_roundtrip(n):
         m *= p**e
     assert m == n
     assert f.is_squarefree() == all(e == 1 for _, e in f.pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000))
+def test_sieve_factors_every_n_it_covers(limit):
+    """Every limit, prime squares and their neighbours included."""
+    sieve = PrimeSieve(limit)
+    assert [sieve.pairs(n) for n in range(1, limit + 1)] == [
+        factor(n).pairs for n in range(1, limit + 1)
+    ]
+
+
+def test_sieve_matches_factor_to_a_hundred_thousand():
+    sieve = PrimeSieve(100_000)
+    for n in range(1, 100_001):
+        assert sieve.pairs(n) == factor(n).pairs
+
+
+def test_sieve_range_is_checked():
+    with pytest.raises(ValueError):
+        PrimeSieve(0)
+    sieve = PrimeSieve(10)
+    assert sieve.pairs(1) == () and sieve.pairs(10) == ((2, 1), (5, 1))
+    for n in (0, -3, 11):
+        with pytest.raises(ValueError):
+            sieve.pairs(n)
 
 
 @given(st.integers(1, 10**4))

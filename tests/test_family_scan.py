@@ -1,5 +1,6 @@
 """scripts/family_scan.py reads its job count as `cuspgate search` does:
-a `--jobs` or `CUSPGATE_JOBS` that is not a positive integer exits 2."""
+a `--jobs` or `CUSPGATE_JOBS` that is not a positive integer exits 2, and a
+bound outside a family's domain exits 1 with one error line."""
 
 import importlib.util
 import os
@@ -45,3 +46,30 @@ def test_bad_env_jobs_prints_no_traceback():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr and "CUSPGATE_JOBS" in proc.stderr
+
+
+def test_bound_below_the_domain_exits_1(capsys, monkeypatch):
+    monkeypatch.delenv("CUSPGATE_JOBS", raising=False)
+    assert family_scan.main(["ns", "--bound", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["family_scan.py: error: ns: bound must be at least 5"]
+
+
+def test_bound_fails_on_a_later_family(capsys, monkeypatch):
+    """--bound applies to every family named: 2p runs at k_max 30, 8p refuses."""
+    monkeypatch.delenv("CUSPGATE_JOBS", raising=False)
+    assert family_scan.main(["2p", "8p", "--bound", "30"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("== 2p: ")
+    assert err.splitlines() == ["family_scan.py: error: 8p: p_max must be at least 37"]
+
+
+def test_domain_error_prints_no_traceback():
+    env = {k: v for k, v in os.environ.items() if k != "CUSPGATE_JOBS"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "ns", "--bound", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr

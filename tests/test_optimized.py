@@ -6,7 +6,7 @@ import sys
 _SCRIPT = """
 import sys
 from fractions import Fraction
-from cuspgate import cusps, gates, tate
+from cuspgate import cusps, gates, searches, tate
 from cuspgate.arith import Factorization
 from cuspgate.curves import Transform, WeierstrassModel
 from cuspgate.searches import _assert_z2z4_torsion
@@ -39,6 +39,10 @@ print(outcome(tate._exact, 7, 2, 1))
 # an I1* model at 2, v(disc) = 8, passed with v = 4: no chain step is allowed
 i1_star = WeierstrassModel(0, 5, 0, -4, 0)
 print(outcome(tate._in_star, i1_star, Transform.identity(), 2, 4, True))
+print(outcome(tate.tate_algorithm, WeierstrassModel(0, -1, 1, -10, -20), 12))
+print(outcome(Factorization._of_proven_primes, 12, ((2, 1), (5, 1))))
+searches._odd_prime_power = lambda n, sieve: (3, 1)  # u = 3 and v = 11 both "powers of 3"
+print(outcome(searches._scan_4pq, 3, 4, 11, 8))
 """
 
 
@@ -63,4 +67,7 @@ def test_checks_still_raise_under_python_O():
         "AssertionError",  # the pq gate's class and parity disagree
         "AssertionError",  # 7 is not divisible by 2
         "AssertionError",  # an I_n* chain longer than v(disc) - 4 allows
+        "ValueError",  # 12 is not prime
+        "ValueError",  # proven primes whose product is not n
+        "AssertionError",  # 4pq's u and v powers of one prime
     ]

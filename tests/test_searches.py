@@ -1,11 +1,12 @@
 import concurrent.futures
 import random
+import time
 from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspgate.arith import factor, is_square
+from cuspgate.arith import PrimeSieve, factor, is_square
 from cuspgate.curves import WeierstrassModel
 from cuspgate import searches
 from cuspgate.searches import (
@@ -17,7 +18,7 @@ from cuspgate.searches import (
     verify_z2z4_classification,
 )
 from cuspgate.tate import conductor
-from searches_oracle import scan_8p_by_primes
+from searches_oracle import scan_4pq_by_factoring, scan_8p_by_primes, scan_z2z4_by_factoring
 
 
 def test_neumann_setzer_frozen():
@@ -168,6 +169,24 @@ def test_4pq_difference_4():
         assert h.params_dict()["p"] != h.params_dict()["q"]
 
 
+@pytest.mark.parametrize("bound", [11, 12, 30, 97, 1000, 6000])
+@pytest.mark.parametrize("difference", [4, 8])
+def test_4pq_matches_the_factoring_oracle(bound, difference):
+    hits = search_4pq_family(bound, difference=difference)
+    assert hits == scan_4pq_by_factoring(3, bound + 1, bound, difference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 300), st.integers(0, 50), st.sampled_from([4, 8]))
+def test_4pq_chunks_match_the_factoring_oracle(lo, width, slack, difference):
+    """Any piece of a scan up to any bound >= its last u gives the oracle's hits."""
+    hi = lo + width
+    bound = max(hi - 1 + slack, 1)
+    assert searches._scan_4pq(lo, hi, bound, difference) == scan_4pq_by_factoring(
+        lo, hi, bound, difference
+    )
+
+
 def test_4pq_validation():
     with pytest.raises(ValueError):
         search_4pq_family(30, difference=6)
@@ -217,8 +236,49 @@ def test_z2z4_two_prime_hits_are_never_primitive():
     assert report.two_prime_case_empty
 
 
+@pytest.mark.parametrize("bound", [21, 600, 2500, 10_000])
+def test_z2z4_matches_the_factoring_oracle(bound):
+    hits = verify_z2z4_classification(bound).hits
+    assert list(hits) == scan_z2z4_by_factoring(1, bound + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 300))
+def test_z2z4_chunks_match_the_factoring_oracle(lo, width):
+    assert searches._scan_z2z4(lo, lo + width) == scan_z2z4_by_factoring(lo, lo + width)
+
+
+def test_z2z4_prune_skips_only_c_with_three_primes(monkeypatch):
+    """The c whose divisors are never listed are exactly the odd c with three
+    or more primes, and the unpruned oracle finds no hit at any of them."""
+    listed = []
+
+    def spy(c, pairs_c):
+        listed.append(c)
+        return square_divisors(c, pairs_c)
+
+    square_divisors = searches._square_divisors
+    monkeypatch.setattr(searches, "_square_divisors", spy)
+    hits = searches._scan_z2z4(1, 3001)
+    skipped = set(range(1, 3001, 2)) - set(listed)
+    assert skipped == {c for c in range(1, 3001, 2) if len(factor(c).pairs) >= 3}
+    assert min(skipped) == 105 and len(skipped) > 100
+    oracle = scan_z2z4_by_factoring(1, 3001)
+    assert not skipped & {h.params_dict()["c"] for h in oracle}
+    assert hits == oracle
+
+
+def test_z2z4_at_thirty_thousand_is_within_budget():
+    start = time.perf_counter()
+    report = verify_z2z4_classification(30_000)
+    elapsed = time.perf_counter() - start
+    assert report.conductors == (15, 21)
+    assert elapsed < 2.5, f"took {elapsed:.2f} s"
+
+
 def test_z2z4_support_matches_factoring_the_product():
     rng = random.Random(600)
+    sieve = PrimeSieve(4 * 601 + 1)
     for c in range(1, 601, 2):
         pairs = [(rng.randint(1, 500), rng.randint(1, 500)) for _ in range(3)]
         for a in factor(c * c).divisors():  # every square pair the scan meets
@@ -228,7 +288,7 @@ def test_z2z4_support_matches_factoring_the_product():
                 pairs.append((alpha, beta))
         for alpha, beta in pairs:
             want = {p for p in factor(c * alpha * beta).primes() if p != 2}
-            assert searches._odd_support(factor(c), alpha, beta) == want
+            assert searches._odd_support(factor(c).pairs, alpha, beta, sieve) == want
 
 
 def test_z2z4_torsion_check_rejects_wrong_curves():

@@ -165,6 +165,19 @@ def test_validation():
         tate_algorithm(WeierstrassModel(0, -1, 1, -10, -20), 12)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [(0, -1, 1, -10, -20), (1, 4, 0, 1, 0), (0, 3, 0, -1, 0), (1, 1, 0, 2, 0), (0, 0, 1, 0, -7)],
+)
+def test_local_data_matches_tate_algorithm_at_each_prime(coeffs):
+    """The conductor's path skips the primality test, not any of the work."""
+    e = WeierstrassModel(*coeffs)
+    local = list(tate._local_data(e))
+    disc = abs(int(e.disc))
+    assert [p for p, _ in local] == [p for p in range(2, disc + 1) if disc % p == 0 and is_prime(p)]
+    assert all(res == tate_algorithm(e, p) for p, res in local)
+
+
 def test_reduction_point_count():
     assert reduction_point_count(WeierstrassModel(1, 4, 0, 1, 0), 2) == 4
     assert reduction_point_count(WeierstrassModel(0, -1, 1, -10, -20), 3) == 5
