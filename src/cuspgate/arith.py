@@ -1,14 +1,17 @@
 """Exact integer/rational primitives shared by every other module.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator), re-exported as ``Rat``.  `is_prime` and `factor` answer with
-deterministic Miller-Rabin over the first twelve prime bases, a
-proven-correct witness set for everything below ~3.3e24, plus trial division
-and Pollard rho.  A scan that factors every number of a range builds a
-`PrimeSieve` over it instead: a table of smallest prime factors, filled by
-Eratosthenes' sieve, which factors any n it covers in O(log n) divisions.
-The sieve proves its primes by construction, so its factorizations need no
-primality test either.
+denominator), re-exported as ``Rat``.  `is_prime` screens n against the
+primes up to 97 with one gcd, then runs deterministic Miller-Rabin on as
+few of the first thirteen prime bases as n's size needs: the first k prime
+bases are a proven witness set below the published bound psi_k, so a prime
+below 2.5e7 takes at most three bases, and thirteen reach ~3.3e24.
+`factor` adds trial division, a perfect-square peel and Pollard rho.  A
+scan that factors every number of a range builds a `PrimeSieve` over it
+instead: a table of smallest prime factors, filled by Eratosthenes' sieve,
+which factors any n it covers in O(log n) divisions.  The sieve proves its
+primes by construction, so its factorizations need no primality test
+either.
 """
 
 from __future__ import annotations
@@ -19,14 +22,33 @@ from fractions import Fraction
 
 Rat = Fraction
 
-# Deterministic Miller-Rabin witness set (first 12 primes), valid for
-# n < 3_317_044_064_679_887_385_961_981.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97,
+)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# an n with no prime factor up to 97 is prime below the next prime's square
+_SCREEN_LIMIT = 101 * 101
+
+# (psi_k, k): Miller-Rabin on the first k prime bases proves every n < psi_k,
+# where psi_k is the least strong pseudoprime to all of them (Pomerance,
+# Selfridge and Wagstaff 1980 and Jaeschke 1993 to k = 8; Jiang and Deng 2014
+# to k = 11; Sorenson and Webster 2015 for k = 12, 13).  psi_8 = psi_7 and
+# psi_9 = psi_10 = psi_11, so those rows would add a base and prove nothing
+# more.  Twelve bases stop at psi_12, a composite; the thirteenth base, 41,
+# carries the proof to psi_13, past which `is_prime` refuses.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
 )
 
 
@@ -58,21 +80,24 @@ def is_square(n: int) -> tuple[bool, int | None]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Proven primality of n below psi_13 (~3.3e24); ValueError above."""
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n >= _MR_LIMIT:
+    if n < _SCREEN_LIMIT:
+        return True
+    for limit, k in _MR_BOUNDS:
+        if n < limit:
+            break
+    else:
         raise ValueError(f"{n} exceeds the deterministic primality bound")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -166,7 +191,10 @@ class Factorization:
 
 
 def factor(n: int) -> Factorization:
-    """Full factorization of n >= 1 (trial division + rho)."""
+    """Full factorization of n >= 1: trial division by the primes up to 97,
+    then on each cofactor a square peel (a perfect square m = r^2 goes back
+    as r with its multiplicity doubled), a primality proof, or a split by
+    Pollard rho."""
     if n < 1:
         raise ValueError("factor expects n >= 1")
     remaining = n
@@ -175,17 +203,19 @@ def factor(n: int) -> Factorization:
         while remaining % p == 0:
             found[p] = found.get(p, 0) + 1
             remaining //= p
-    stack = [remaining] if remaining > 1 else []
+    # (cofactor, multiplicity); every cofactor is > 1 with no prime up to 97
+    stack = [(remaining, 1)] if remaining > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            found[m] = found.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        m, e = stack.pop()
+        r = math.isqrt(m)
+        if r * r == m:
+            stack.append((r, 2 * e))
+        elif is_prime(m):
+            found[m] = found.get(m, 0) + e
+        else:
+            d = _pollard_rho(m)
+            stack.append((d, e))
+            stack.append((m // d, e))
     # every prime here passed is_prime or is one of _SMALL_PRIMES
     return Factorization._of_proven_primes(n, tuple(sorted(found.items())))
 

@@ -321,6 +321,31 @@ def _cmd_curve_transform(args) -> dict:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a value that starts with '-' (``--curve -5,-14,-8``,
+    ``--u -1/2``, ``--signs -+``) as an option and fails with "expected one
+    argument".  This parser first joins each such value to the option before
+    it, ``--curve=-5,...``, the form argparse accepts.  A value is joined only
+    after an option of this parser that takes one, and only if it is no
+    option itself; ``--`` keeps its meaning, the end of the options."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for tok in sys.argv[1:] if args is None else args:
+            prev = self._option_string_actions.get(joined[-1]) if joined else None
+            if (
+                prev is not None
+                and prev.nargs is None
+                and tok.startswith("-")
+                and tok != "--"
+                and tok not in self._option_string_actions
+            ):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -332,7 +357,7 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspgate",
         description="cuspidal divisor groups, eta quotients, reduction types "
         "and parity gates for modular degrees",

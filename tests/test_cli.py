@@ -118,6 +118,21 @@ def test_gate_dispatch(capsys):
     assert bad["result"]["passed"] is False
 
 
+def test_gate_at_a_strong_pseudoprime_to_the_first_twelve_bases(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Miller-Rabin on every base up to 37; it is no prime level
+    doc = run_json(capsys, "gate", "--level", "318665857834031151167461")
+    assert doc["result"]["gate"] == "squarefree"
+    assert doc["result"]["passed"] is False
+    assert doc["result"]["data"] == {
+        "p": 399165290221,
+        "p_mod_8": 5,
+        "q": 798330580441,
+        "q_mod_8": 1,
+    }
+    assert "prime level" not in doc["result"]["reasons"][0]
+
+
 def test_gate_pq(capsys):
     doc = run_json(capsys, "gate-pq", "--p", "3", "--q", "11")
     assert doc["result"]["passed"] is True
@@ -152,6 +167,21 @@ def test_conductor(capsys):
     ]:
         doc = run_json(capsys, "conductor", "--curve", ",".join(map(str, coeffs)))
         assert doc["result"]["conductor"] == conductor(WeierstrassModel(*coeffs))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conductor", "--curve", "-5,-14,-8,-10,-13"],
+        ["curve-transform", "--curve", "0,-1,1,-10,-20", "--u", "-1/2", "--t", "-3"],
+        ["cusp-order", "--level", "15", "--signs", "-+"],
+        ["tate", "--curve", "-1,0,-1,-2,-1", "--p", "2"],
+    ],
+)
+def test_values_that_start_with_a_minus_take_either_form(capsys, argv):
+    spaced = run_json(capsys, *argv)
+    joined = [f"{a}={b}" for a, b in zip(argv[1::2], argv[2::2])]
+    assert run_json(capsys, argv[0], *joined) == spaced
 
 
 def test_torsion2(capsys):

@@ -1,7 +1,10 @@
 """Fuzz the CLI parsers in-process: every subcommand, on malformed fractions,
 zero denominators, huge integers, decimal exponents and wrong entry counts,
 either returns a result (exit 0) or fails with exit 1 (domain error) or 2
-(usage error), and no exception escapes.
+(usage error), and no exception escapes.  Every ``--flag=value`` drawn is
+also run as the two tokens ``--flag value``, with the same exit code and
+output, values that start with '-' included: negative curve coefficients,
+transforms such as -1/2, sign strings such as -+.
 
 Each subcommand's handler imports its own layers, so each one also runs on a
 valid input given as an explicit example.  Searches draw small bounds and
@@ -68,10 +71,8 @@ CURVES = st.one_of(
 
 
 def opt(flag, values):
-    """``flag value`` as two tokens or as one ``flag=value`` token."""
-    return st.one_of(
-        values.map(lambda v: [flag, v]), values.map(lambda v: [f"{flag}={v}"])
-    )
+    """``flag=value`` as one token; each draw also runs `spaced`, as two."""
+    return values.map(lambda v: [f"{flag}={v}"])
 
 
 def argv(*parts):
@@ -102,7 +103,7 @@ ARGV = {
     "cusp-order": argv(
         opt("--level", LEVELS),
         st.one_of(
-            st.lists(st.sampled_from("+-+-x"), max_size=4).map(lambda s: [f"--signs={''.join(s)}"]),
+            opt("--signs", st.lists(st.sampled_from("+-+-x"), max_size=4).map("".join)),
             opt("--divisor", fraction_list((0, 9))),
         ),
         st.sampled_from([[], ["--project-2-old"]]),
@@ -135,13 +136,13 @@ VALID = {
     "gate-pq": ["--p", "3", "--q", "11"],
     "search": ["--family", "z2z4", "--bound", "50", "--jobs", "1", "--csv"],
     "tate": ["--curve", "0,-1,1,-10,-20", "--p", "11"],
-    "conductor": ["--curve", "0,31,0,240,0"],
+    "conductor": ["--curve", "-5,-14,-8,-10,-13"],
     "torsion2": ["--curve", "0,23,0,120,0"],
-    "curve-transform": ["--curve", "0,-1,1,-10,-20", "--u", "1/2", "--r", "3"],
+    "curve-transform": ["--curve", "0,-1,1,-10,-20", "--u", "-1/2", "--r", "3"],
 }
 
 
-def exit_code(args: list[str]) -> int:
+def run_cli(args: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -149,7 +150,23 @@ def exit_code(args: list[str]) -> int:
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, out.getvalue()
+
+
+def spaced(args: list[str]) -> list[str] | None:
+    """``args`` with each ``--flag=value`` token split into ``--flag value``, or
+    None when a value is ``--``, which argparse takes as the end of the
+    options in the spaced form."""
+    out = []
+    for tok in args:
+        flag, sep, value = tok.partition("=")
+        if not (sep and flag.startswith("--")):
+            out.append(tok)
+        elif value == "--":
+            return None
+        else:
+            out += [flag, value]
+    return out
 
 
 def test_fuzz_covers_every_handler():
@@ -167,9 +184,12 @@ def test_cli_exits_0_1_or_2(sub):
     @example(VALID[sub])
     @given(ARGV[sub])
     def run(args):
-        code = exit_code([sub, *args])
+        code, out = run_cli([sub, *args])
         assert code in (0, 1, 2), (args, code)
         codes.append(code)
+        two_tokens = spaced(args)
+        if two_tokens is not None:
+            assert run_cli([sub, *two_tokens]) == (code, out), (args, two_tokens)
 
     run()
     assert 0 in codes  # the handler ran to a result on the valid input

@@ -7,7 +7,7 @@ _SCRIPT = """
 import sys
 from fractions import Fraction
 from cuspgate import cusps, gates, searches, tate
-from cuspgate.arith import Factorization
+from cuspgate.arith import Factorization, is_prime
 from cuspgate.curves import Transform, WeierstrassModel
 from cuspgate.searches import _assert_z2z4_torsion
 
@@ -43,6 +43,7 @@ print(outcome(tate.tate_algorithm, WeierstrassModel(0, -1, 1, -10, -20), 12))
 print(outcome(Factorization._of_proven_primes, 12, ((2, 1), (5, 1))))
 searches._odd_prime_power = lambda n, sieve: (3, 1)  # u = 3 and v = 11 both "powers of 3"
 print(outcome(searches._scan_4pq, 3, 4, 11, 8))
+print(outcome(is_prime, 3317044064679887385961981))
 """
 
 
@@ -70,4 +71,5 @@ def test_checks_still_raise_under_python_O():
         "ValueError",  # 12 is not prime
         "ValueError",  # proven primes whose product is not n
         "AssertionError",  # 4pq's u and v powers of one prime
+        "ValueError",  # psi_13: past the proven primality bound
     ]
