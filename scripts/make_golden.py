@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Write the golden corpus of Tate's algorithm to tests/golden/tate.txt.
+
+    python3 scripts/make_golden.py            # rewrite tests/golden/tate.txt
+    python3 scripts/make_golden.py OUT.txt    # write somewhere else
+
+Each line is tab-separated and ends in one repr:
+
+    tate   <(a1, a2, a3, a4, a6)>  <p>  <repr(tate_algorithm(E, p))>
+    local  <(a1, a2, a3, a4, a6)>       <repr(list(_local_data(E)))>
+
+The tate lines are seeded models with bad reduction at p in PRIMES: random
+p-adic valuations, I_n* chains up to I10*, and models scaled
+by u = 1/p so they are not minimal, each moved by a random integral shift.
+The local lines are the curves of the five family searches at SEARCH_BOUNDS.
+`tests/test_golden.py` replays every line in-process.  The corpus is written
+once from a tree whose output is trusted; a change that alters a line
+regenerates it and says which lines changed and why.
+"""
+
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+from cuspgate import searches
+from cuspgate.curves import Transform, WeierstrassModel, apply_transform
+from cuspgate.tate import _local_data, tate_algorithm
+
+PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 10007)
+SEED = 20070703
+COUNT = 960
+SEARCH_BOUNDS = {
+    "search_neumann_setzer": 5_000,
+    "search_2p_family": 12,
+    "search_8p_family": 1_000,
+    "search_4pq_family": 120,
+    "verify_z2z4_classification": 100,
+}
+OUT = Path(__file__).resolve().parent.parent / "tests" / "golden" / "tate.txt"
+
+
+def _random_model(rng, p):
+    """a_i = m p^k with random m and k; a few are I_n* chains instead:
+    y^2 = x^3 + p m x^2 + p^j m' x has v(a2) = 1 and v(a4) = j."""
+    if rng.random() < 0.2:
+        j = rng.randint(2, 7)
+        coeffs = [0, p * rng.choice((-3, -1, 1, 2, 5)), 0, p**j * rng.choice((-7, -1, 1, 3)), 0]
+    else:
+        top = 5 if p < 100 else 2
+        coeffs = [rng.randint(-9, 9) * p ** rng.randint(0, top) for _ in range(5)]
+    if rng.random() < 0.15:  # u = 1/p: the same curve, not minimal at p
+        coeffs = [a * p**w for a, w in zip(coeffs, (1, 2, 3, 4, 6))]
+    return coeffs
+
+
+def tate_cases(rng, count):
+    """(coefficients, p) with bad reduction at p, `count` of them."""
+    cases = []
+    while len(cases) < count:
+        p = rng.choice(PRIMES)
+        try:
+            e = WeierstrassModel(*_random_model(rng, p))
+        except ValueError:  # singular
+            continue
+        shift = Transform(1, *(rng.randint(-99, 99) for _ in range(3)))
+        e = apply_transform(e, shift)
+        if e.disc % p == 0:
+            cases.append((e.coefficients(), p))
+    return cases
+
+
+def search_curves():
+    """The distinct curves of the five searches at SEARCH_BOUNDS, in order."""
+    curves = []
+    for name, bound in SEARCH_BOUNDS.items():
+        found = getattr(searches, name)(bound)
+        for hit in getattr(found, "hits", found):
+            if hit.curve is not None and hit.curve.coefficients() not in curves:
+                curves.append(hit.curve.coefficients())
+    return curves
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    out = Path(argv[0]) if argv else OUT
+    lines, kinds = [], Counter()
+    for coeffs, p in tate_cases(random.Random(SEED), COUNT):
+        res = tate_algorithm(WeierstrassModel(*coeffs), p)
+        kinds[res.kodaira if res.minimal else "not minimal"] += 1
+        lines.append(f"tate\t{coeffs!r}\t{p}\t{res!r}")
+    curves = search_curves()
+    for coeffs in curves:
+        lines.append(f"local\t{coeffs!r}\t{list(_local_data(WeierstrassModel(*coeffs)))!r}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("\n".join(lines) + "\n")
+    print(f"{out}: {len(lines)} lines, {out.stat().st_size} bytes, {len(curves)} search curves")
+    print(" ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,9 +58,11 @@ def num(x) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p**e | n, for n != 0."""
+    """Largest e with p**e | n, for n != 0 and p >= 2."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
+    if p < 2:  # every power of 1 or -1 divides n, and 0 divides nothing
+        raise ValueError(f"valuation needs p >= 2, got {p}")
     n = abs(n)
     e = 0
     while n % p == 0:

@@ -446,11 +446,9 @@ def main(argv=None) -> int:
         return 1
     if not isinstance(result, str):  # CSV mode returns its text as is
         record = {
-            "input": {
-                k: v
-                for k, v in sorted(vars(args).items())
-                if k not in ("handler",) and v is not None
-            },
+            "input": _encode(
+                {k: v for k, v in sorted(vars(args).items()) if k != "handler" and v is not None}
+            ),
             "result": result,
             "subcommand": args.subcommand,
             "version": __version__,

@@ -39,41 +39,14 @@ class WeierstrassModel:
         if self.disc == 0:
             raise ValueError("singular model (discriminant zero)")
 
-    # -- standard invariants ------------------------------------------------
-    @property
-    def b2(self) -> Coeff:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self) -> Coeff:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self) -> Coeff:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self) -> Coeff:
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
-
-    @property
-    def c4(self) -> Coeff:
-        return self.b2 * self.b2 - 24 * self.b4
-
-    @property
-    def c6(self) -> Coeff:
-        return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
-
-    @property
-    def disc(self) -> Coeff:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    # -- standard invariants, by the formulas on the coefficient tuple ------
+    b2 = property(lambda self: _b_invariants(self.coefficients())[0])
+    b4 = property(lambda self: _b_invariants(self.coefficients())[1])
+    b6 = property(lambda self: _b_invariants(self.coefficients())[2])
+    b8 = property(lambda self: _b_invariants(self.coefficients())[3])
+    c4 = property(lambda self: _c_invariants(_b_invariants(self.coefficients()))[0])
+    c6 = property(lambda self: _c_invariants(_b_invariants(self.coefficients()))[1])
+    disc = property(lambda self: _discriminant(_b_invariants(self.coefficients())))
 
     def j_invariant(self) -> Fraction:
         return Fraction(self.c4 ** 3, self.disc)
@@ -115,6 +88,29 @@ def b_invariants(e: WeierstrassModel) -> BInvariants:
     out = BInvariants(e.b2, e.b4, e.b6, e.b8, e.disc)
     assert 4 * out.b8 == out.b2 * out.b6 - out.b4 * out.b4
     return out
+
+
+def _b_invariants(a: tuple) -> tuple[Coeff, Coeff, Coeff, Coeff]:
+    """(b2, b4, b6, b8) of the coefficient tuple (a1, a2, a3, a4, a6)."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 * a1 + 4 * a2,
+        2 * a4 + a1 * a3,
+        a3 * a3 + 4 * a6,
+        a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4,
+    )
+
+
+def _c_invariants(b: tuple) -> tuple[Coeff, Coeff]:
+    """(c4, c6) from (b2, b4, b6, b8)."""
+    b2, b4, b6, _ = b
+    return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
+
+def _discriminant(b: tuple) -> Coeff:
+    """The discriminant from (b2, b4, b6, b8)."""
+    b2, b4, b6, b8 = b
+    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
 # -- coordinate changes -----------------------------------------------------
@@ -161,19 +157,23 @@ class Transform:
 
 
 def apply_transform(e: WeierstrassModel, t: Transform) -> WeierstrassModel:
-    u, r, s, tt = t.u, t.r, t.s, t.t
-    a1, a2, a3, a4, a6 = e.coefficients()
-    coeffs = (
+    coeffs = _shifted(e.coefficients(), t.r, t.s, t.t)
+    if t.u != 1:
+        # a1, a2, a3, a4, a6 have weights 1, 2, 3, 4, 6 in u
+        coeffs = tuple(Fraction(x) / t.u ** k for x, k in zip(coeffs, (1, 2, 3, 4, 6)))
+    return WeierstrassModel(*coeffs)
+
+
+def _shifted(a: tuple, r: Coeff, s: Coeff, t: Coeff) -> tuple:
+    """The coefficient tuple a after x = x' + r, y = y' + s x' + t (u = 1)."""
+    a1, a2, a3, a4, a6 = a
+    return (
         a1 + 2 * s,
         a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * tt,
-        a4 - s * a3 + 2 * r * a2 - (tt + r * s) * a1 + 3 * r * r - 2 * s * tt,
-        a6 + r * a4 + r * r * a2 + r ** 3 - tt * a3 - tt * tt - r * tt * a1,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
     )
-    if u != 1:
-        # a1, a2, a3, a4, a6 have weights 1, 2, 3, 4, 6 in u
-        coeffs = tuple(Fraction(x) / u ** k for x, k in zip(coeffs, (1, 2, 3, 4, 6)))
-    return WeierstrassModel(*coeffs)
 
 
 def transform_point(pt, t: Transform):
@@ -262,7 +262,7 @@ def scalar_mul(e: WeierstrassModel, n: int, pt):
 def double_x(e: WeierstrassModel, x: Coeff) -> Fraction:
     """x-coordinate of 2P in terms of x(P), via the division-polynomial ratio."""
     x = Fraction(x)
-    b2, b4, b6, b8 = e.b2, e.b4, e.b6, e.b8
+    b2, b4, b6, b8 = _b_invariants(e.coefficients())
     den = 4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6
     if den == 0:
         raise ValueError("x is the abscissa of a 2-torsion point; 2P is the origin")
@@ -325,7 +325,7 @@ class TwoTorsion:
 
 def two_torsion_structure(e: WeierstrassModel) -> TwoTorsion:
     """Group structure of E(Q)[2], from the rational roots of the 2-division cubic."""
-    b2, b4, b6 = e.b2, e.b4, e.b6
+    b2, b4, b6, _ = _b_invariants(e.coefficients())
     m = lcm(*(Fraction(c).denominator for c in (b2, b4, b6)))
     roots = _rational_cubic_roots(4 * m, int(m * b2), int(m * 2 * b4), int(m * b6))
     if len(roots) == 0:

@@ -1,11 +1,16 @@
 """Kodaira types, conductor exponents and Tamagawa numbers at a prime.
 
-This runs the standard step-by-step reduction analysis on an integral
-Weierstrass model: locate the singular point of the reduction, translate
-it to the origin, and walk the valuation tests, translating as needed,
-restarting on a non-minimal model.  The conductor exponent is recovered
-from v(disc) and the component count (f = v - m + 1), which is valid at
-every prime, including the wildly ramified small ones.
+This runs the standard step-by-step reduction analysis on the coefficient
+tuple a = (a1, ..., a6) of an integral model, in bare ints: locate the
+singular point of the reduction, translate it to the origin, walk the
+valuation tests, translating as needed, and divide a non-minimal model by p
+and restart.  A translation (u = 1) keeps a integral and the discriminant
+fixed, so v(disc) is computed once and drops by 12 per exact division.  The
+model and transform are built once, in `_result`: with u = p^k after k
+divisions the change is triangular in (s, r, t), so a1, a2 and a3 give s, r
+and t by exact divisions.  The conductor exponent f = v - m + 1 comes from
+v(disc) and the component count m, at every prime, including the wildly
+ramified small ones.
 
 There is one path for every prime.  The singular point, the shape of the
 I0* cubic and its root count are closed forms mod p that branch only on the
@@ -25,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import factor, is_prime, valuation
-from .curves import Transform, WeierstrassModel, apply_transform
+from .curves import Transform, WeierstrassModel, _b_invariants, _c_invariants, _shifted
 
 # ---------------------------------------------------------------------------
 # closed forms mod p
@@ -103,23 +108,25 @@ def _vp(n: int, p: int) -> float:
     return math.inf if n == 0 else valuation(n, p)
 
 
-def _singular_point(e: WeierstrassModel, p: int) -> tuple[int, int]:
+def _singular_point(a: tuple, p: int) -> tuple[int, int]:
     """The unique singular point of the reduction mod p, as residues."""
-    a1, a2, a3, a4, a6 = e.coefficients()
+    a1, a2, a3, a4, a6 = a
+    b2, b4, b6, _ = b = _b_invariants(a)
     if p == 2:
-        if e.b2 % 2 == 0:
+        if b2 % 2 == 0:
             r = a4
             t = r * (1 + a2 + a4) + a6
         else:
             r = a3
             t = r + a4
         return r % 2, t % 2
+    c4, c6 = _c_invariants(b)
     if p == 3:
-        r = -e.b6 if e.b2 % 3 == 0 else -e.b2 * e.b4
-    elif e.c4 % p == 0:
-        r = -e.b2 * pow(12, -1, p)
+        r = -b6 if b2 % 3 == 0 else -b2 * b4
+    elif c4 % p == 0:
+        r = -b2 * pow(12, -1, p)
     else:
-        r = -(e.c6 + e.b2 * e.c4) * pow(12 * e.c4, -1, p)
+        r = -(c6 + b2 * c4) * pow(12 * c4, -1, p)
     t = -(a1 * r + a3) * pow(2, -1, p)
     return r % p, t % p
 
@@ -142,15 +149,18 @@ class TateResult:
     transform: Transform  # input -> model
 
 
-def _result(p, kodaira, n, c, v, minimal, split, cur, total) -> TateResult:
-    if kodaira in _COMPONENTS:
-        m = _COMPONENTS[kodaira]
-    elif kodaira.endswith("*"):
-        m = n + 5  # I_n*
-    else:
-        m = n  # I_n, n >= 1
+def _result(e, a, k, p, kodaira, n, c, v, split=None) -> TateResult:
+    """The record for the final tuple a, reached from e with u = p^k."""
+    m = _COMPONENTS.get(kodaira, n + 5 if kodaira.endswith("*") else n)  # I_n*, I_n
     f = v - m + 1 if v > 0 else 0
-    return TateResult(p, kodaira, n, f, c, m, v, minimal, split, cur, total)
+    # solve u a1' = a1 + 2s, u^2 a2' = a2 - s a1 + 3r - s^2, u^3 a3' = a3 + r a1 + 2t
+    u = p**k
+    e1, e2, e3, _, _ = e.coefficients()
+    s = _exact(u * a[0] - e1, 2, 1)
+    r = _exact(u * u * a[1] - e2 + s * e1 + s * s, 3, 1)
+    t = _exact(u**3 * a[2] - e3 - r * e1, 2, 1)
+    model, transform = WeierstrassModel(*a), Transform(u, r, s, t)
+    return TateResult(p, kodaira, n, f, c, m, v, k == 0, split, model, transform)
 
 
 def tate_algorithm(e: WeierstrassModel, p: int) -> TateResult:
@@ -164,82 +174,66 @@ def tate_algorithm(e: WeierstrassModel, p: int) -> TateResult:
 
 def _tate(e: WeierstrassModel, p: int) -> TateResult:
     """tate_algorithm for an integral model and a p already proven prime."""
-    cur = e
-    total = Transform.identity()
-    minimal = True
+    a = e.coefficients()
+    k = 0
+    v = valuation(e.disc, p)  # raises on a zero discriminant, also under -O
 
     while True:
-        v = valuation(cur.disc, p)  # raises on a zero discriminant, also under -O
         if v == 0:
-            return _result(p, "I0", 0, 1, 0, minimal, None, cur, total)
+            return _result(e, a, k, p, "I0", 0, 1, 0)
 
-        x0, y0 = _singular_point(cur, p)
-        cur, total = _shift(cur, total, x0, y0)
-        assert all(_vp(a, p) >= 1 for a in (cur.a3, cur.a4, cur.a6))
+        x0, y0 = _singular_point(a, p)
+        a = a1, a2, a3, a4, a6 = _shifted(a, x0, 0, y0)
+        assert all(_vp(x, p) >= 1 for x in (a3, a4, a6))
+        b2, _, b6, b8 = _b_invariants(a)
 
-        if cur.b2 % p != 0:
+        if b2 % p != 0:
             # multiplicative reduction; tangent directions from T^2 + a1 T - a2
-            kind, _ = _quad(1, cur.a1, -cur.a2, p)
+            kind, _ = _quad(1, a1, -a2, p)
             split = kind == "distinct_split"
             c = v if split else (2 if v % 2 == 0 else 1)
-            return _result(p, f"I{v}", v, c, v, minimal, split, cur, total)
+            return _result(e, a, k, p, f"I{v}", v, c, v, split)
 
-        if _vp(cur.a6, p) < 2:
-            return _result(p, "II", 0, 1, v, minimal, None, cur, total)
-        if _vp(cur.b8, p) < 3:
-            return _result(p, "III", 0, 2, v, minimal, None, cur, total)
-        if _vp(cur.b6, p) < 3:
-            kind, _ = _quad(1, _exact(cur.a3, p, 1), -_exact(cur.a6, p, 2), p)
+        if _vp(a6, p) < 2:
+            return _result(e, a, k, p, "II", 0, 1, v)
+        if _vp(b8, p) < 3:
+            return _result(e, a, k, p, "III", 0, 2, v)
+        if _vp(b6, p) < 3:
+            kind, _ = _quad(1, _exact(a3, p, 1), -_exact(a6, p, 2), p)
             assert kind != "double"
             c = 3 if kind == "distinct_split" else 1
-            return _result(p, "IV", 0, c, v, minimal, None, cur, total)
+            return _result(e, a, k, p, "IV", 0, c, v)
 
-        cur, total = _normalize(cur, total, p)
+        a = a1, a2, a3, a4, a6 = _normalize(a, p)
 
         # the reduced cubic T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3)
-        shape, info = _cubic(_exact(cur.a2, p, 1), _exact(cur.a4, p, 2), _exact(cur.a6, p, 3), p)
+        shape, info = _cubic(_exact(a2, p, 1), _exact(a4, p, 2), _exact(a6, p, 3), p)
         if shape == "distinct":
-            return _result(p, "I0*", 0, 1 + info, v, minimal, None, cur, total)
+            return _result(e, a, k, p, "I0*", 0, 1 + info, v)
+        # a double or a triple root: translate it to T = 0
+        a = a1, a2, a3, a4, a6 = _shifted(a, p * info, 0, 0)
         if shape == "double":
-            if info:
-                cur, total = _shift(cur, total, p * info, 0, 0)
-            assert _vp(cur.a2, p) == 1 and _vp(cur.a4, p) >= 3 and _vp(cur.a6, p) >= 4
-            return _in_star(cur, total, p, v, minimal)
+            assert _vp(a2, p) == 1 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4
+            a, n, c = _in_star(a, p, v)
+            return _result(e, a, k, p, f"I{n}*", n, c, v)
+        assert _vp(a2, p) >= 2 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4
 
-        # triple root: translate it to T = 0
-        if info:
-            cur, total = _shift(cur, total, p * info, 0, 0)
-        assert _vp(cur.a2, p) >= 2 and _vp(cur.a4, p) >= 3 and _vp(cur.a6, p) >= 4
-
-        kind, root = _quad(1, _exact(cur.a3, p, 2), -_exact(cur.a6, p, 4), p)
+        kind, root = _quad(1, _exact(a3, p, 2), -_exact(a6, p, 4), p)
         if kind != "double":
             c = 3 if kind == "distinct_split" else 1
-            return _result(p, "IV*", 0, c, v, minimal, None, cur, total)
-        if root:
-            cur, total = _shift(cur, total, 0, p * p * root, 0)
-        assert _vp(cur.a3, p) >= 3 and _vp(cur.a6, p) >= 5
+            return _result(e, a, k, p, "IV*", 0, c, v)
+        a = a1, a2, a3, a4, a6 = _shifted(a, 0, 0, p * p * root)
+        assert _vp(a3, p) >= 3 and _vp(a6, p) >= 5
 
-        if _vp(cur.a4, p) < 4:
-            return _result(p, "III*", 0, 2, v, minimal, None, cur, total)
-        if _vp(cur.a6, p) < 6:
-            return _result(p, "II*", 0, 1, v, minimal, None, cur, total)
+        if _vp(a4, p) < 4:
+            return _result(e, a, k, p, "III*", 0, 2, v)
+        if _vp(a6, p) < 6:
+            return _result(e, a, k, p, "II*", 0, 1, v)
 
         # non-minimal: all a_i divisible by p^i, divide out and restart
-        assert _vp(cur.a1, p) >= 1 and _vp(cur.a2, p) >= 2
-        rescale = Transform(p, 0, 0, 0)
-        cur = apply_transform(cur, rescale)
-        if not cur.is_integral():
-            raise AssertionError(f"the model is not divisible by {p}^i in each a_i")
-        total = total.then(rescale)
-        minimal = False
-
-
-def _shift(cur, total, r, t, s=0):
-    tr = Transform(1, r, s, t)
-    nxt = apply_transform(cur, tr)
-    if not nxt.is_integral():
-        raise AssertionError(f"shift by {tr} leaves a non-integral model")
-    return nxt, total.then(tr)
+        a = tuple(_exact(x, p, w) for x, w in zip(a, (1, 2, 3, 4, 6)))
+        k += 1
+        v -= 12
 
 
 def _exact(n: int, p: int, k: int) -> int:
@@ -249,50 +243,47 @@ def _exact(n: int, p: int, k: int) -> int:
     return q
 
 
-def _normalize(cur, total, p):
+def _normalize(a, p):
     """Arrange v(a1)>=1, v(a2)>=1, v(a3)>=2, v(a4)>=2, v(a6)>=3."""
+    a1, a2, a3, _, a6 = a
     if p == 2:
-        assert cur.a1 % 2 == 0  # b2 = a1^2 + 4 a2 is even here
-        s = cur.a2 % 2
+        assert a1 % 2 == 0  # b2 = a1^2 + 4 a2 is even here
+        s = a2 % 2
         # v(b6)>=3 with v(a6)>=2 forces v(a3)>=2 already; pick t in {0,2}
-        assert _vp(cur.a3, 2) >= 2
-        t = 2 * (_exact(cur.a6, 2, 2) % 2)
+        assert _vp(a3, 2) >= 2
+        t = 2 * (_exact(a6, 2, 2) % 2)
     else:
-        inv2 = pow(2, -1, p)
-        s = -cur.a1 * inv2 % p
-        t = -cur.a3 * pow(2, -1, p * p) % (p * p)
-    cur, total = _shift(cur, total, 0, t, s)
-    assert _vp(cur.a1, p) >= 1 and _vp(cur.a2, p) >= 1
-    assert _vp(cur.a3, p) >= 2 and _vp(cur.a4, p) >= 2 and _vp(cur.a6, p) >= 3
-    return cur, total
+        s = -a1 * pow(2, -1, p) % p
+        t = -a3 * pow(2, -1, p * p) % (p * p)
+    a = a1, a2, a3, a4, a6 = _shifted(a, 0, s, t)
+    assert _vp(a1, p) >= 1 and _vp(a2, p) >= 1
+    assert _vp(a3, p) >= 2 and _vp(a4, p) >= 2 and _vp(a6, p) >= 3
+    return a
 
 
-def _in_star(cur, total, p, v, minimal):
+def _in_star(a, p, v):
     """The I_n* chain: alternate Y- and X-direction tests, translating on
-    double roots, until a quadratic with distinct roots appears."""
+    double roots, until a quadratic with distinct roots appears.  Returns
+    the final tuple, n and the Tamagawa number."""
     n = 1
     kx = ky = 2  # the next X- and Y-shifts are multiples of p^kx and p^ky
     while True:
         if n > v - 4:
             raise AssertionError("I_n* chain exceeded the discriminant bound")
-        kind, root = _quad(1, _exact(cur.a3, p, ky), -_exact(cur.a6, p, kx + ky), p)
+        kind, root = _quad(1, _exact(a[2], p, ky), -_exact(a[4], p, kx + ky), p)
         if kind != "double":
-            c = 4 if kind == "distinct_split" else 2
             break
-        if root:
-            cur, total = _shift(cur, total, 0, p**ky * root, 0)
+        a = _shifted(a, 0, 0, p**ky * root)
         ky += 1
         n += 1
 
-        kind, root = _quad(_exact(cur.a2, p, 1), _exact(cur.a4, p, 1 + kx), _exact(cur.a6, p, kx + ky), p)
+        kind, root = _quad(_exact(a[1], p, 1), _exact(a[3], p, 1 + kx), _exact(a[4], p, kx + ky), p)
         if kind != "double":
-            c = 4 if kind == "distinct_split" else 2
             break
-        if root:
-            cur, total = _shift(cur, total, p**kx * root, 0, 0)
+        a = _shifted(a, p**kx * root, 0, 0)
         kx += 1
         n += 1
-    return _result(p, f"I{n}*", n, c, v, minimal, None, cur, total)
+    return a, n, 4 if kind == "distinct_split" else 2
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ def test_valuation():
         valuation(0, 2)
 
 
+@pytest.mark.parametrize("p", [1, -1, 0, -2])
+def test_valuation_refuses_p_below_2(p):
+    # p = 1 and p = -1 divide n forever, and p = 0 divides nothing
+    with pytest.raises(ValueError, match="p >= 2"):
+        valuation(12, p)
+
+
 @given(st.integers(1, 10**6), st.integers(1, 10**6), st.sampled_from([2, 3, 5, 7]))
 def test_valuation_additive(a, b, p):
     assert valuation(a * b, p) == valuation(a, p) + valuation(b, p)

@@ -216,6 +216,17 @@ def test_big_integers_become_strings(capsys):
     assert isinstance(a6, str) and int(a6) == -20 * 1000**6
 
 
+def test_big_integers_in_the_input_block_become_strings(capsys):
+    # 2^53 + 1 is the least integer that a double-precision JSON reader rounds
+    doc = run_json(capsys, "gate", "--level", str(2**53 + 1))
+    assert doc["input"]["level"] == "9007199254740993"
+    assert run_json(capsys, "gate", "--level", str(2**53 - 1))["input"]["level"] == 2**53 - 1
+    # 2^53 + 5 is prime, and 11a1 has good reduction there
+    doc = run_json(capsys, "tate", "--curve", "0,-1,1,-10,-20", "--p", str(2**53 + 5))
+    assert doc["input"]["p"] == doc["result"]["p"] == "9007199254740997"
+    assert doc["result"]["kodaira"] == "I0"
+
+
 def test_search_json(capsys):
     doc = run_json(capsys, "search", "--family", "neumann-setzer", "--bound", "60")
     hits = doc["result"]

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 from cuspgate import cusps, gates, searches, tate
 from cuspgate.arith import Factorization, is_prime
-from cuspgate.curves import Transform, WeierstrassModel
+from cuspgate.curves import WeierstrassModel
 from cuspgate.searches import _assert_z2z4_torsion
 
 def outcome(fn, *args):
@@ -38,7 +38,7 @@ print(outcome(gates.gate_pq_refined, 3, 11))
 print(outcome(tate._exact, 7, 2, 1))
 # an I1* model at 2, v(disc) = 8, passed with v = 4: no chain step is allowed
 i1_star = WeierstrassModel(0, 5, 0, -4, 0)
-print(outcome(tate._in_star, i1_star, Transform.identity(), 2, 4, True))
+print(outcome(tate._in_star, i1_star.coefficients(), 2, 4))
 print(outcome(tate.tate_algorithm, WeierstrassModel(0, -1, 1, -10, -20), 12))
 print(outcome(Factorization._of_proven_primes, 12, ((2, 1), (5, 1))))
 searches._odd_prime_power = lambda n, sieve: (3, 1)  # u = 3 and v = 11 both "powers of 3"

@@ -92,6 +92,20 @@ def test_result_model_and_transform_are_consistent():
         assert r.v_disc == (valuation(r.model.disc, p) if r.model.disc else 0)
 
 
+def test_each_result_builds_one_model_and_one_transform():
+    # the loop runs on a coefficient tuple: no record per step, even on the
+    # I_n* chains and the non-minimal models among the frozen rows
+    for (coeffs, p), _ in FROZEN:
+        e = WeierstrassModel(*coeffs)
+        spy_model, spy_transform = (
+            mock.patch.object(cls, "__post_init__", autospec=True, side_effect=cls.__post_init__)
+            for cls in (WeierstrassModel, Transform)
+        )
+        with spy_model as models, spy_transform as transforms:
+            tate._tate(e, p)
+        assert (models.call_count, transforms.call_count) == (1, 1), (coeffs, p)
+
+
 def test_split_test_runs_on_the_translated_model():
     # The singular point of 11a1 mod 11 is not at the origin; deciding split
     # multiplicative reduction before recentering gives the wrong answer.
@@ -276,7 +290,8 @@ def cubics(p, rng, count):
 def test_closed_forms_match_the_brute_force_oracle(p):
     rng = random.Random(p)
     for e in singular_models(p, rng, 150):
-        assert tate._singular_point(e, p) == tate_oracle.singular_point(e, p), e
+        a = e.coefficients()
+        assert tate._singular_point(a, p) == tate_oracle.singular_point(a, p), e
     for b, c, d in cubics(p, rng, 400):
         assert tate._cubic(b, c, d, p) == tate_oracle.cubic(b, c, d, p), (b, c, d)
 
@@ -297,8 +312,40 @@ def test_tate_on_models_with_bad_reduction(p, parts, shift):
     r = tate_algorithm(e, p)
     assert r.f == (r.v_disc - r.m + 1 if r.v_disc else 0)
     assert apply_transform(e, r.transform) == r.model
+    if p >= 5:
+        assert tate_oracle.papadopoulos(e, p) == (r.kodaira, r.v_disc)
     if p <= 97:
         # the same run with the brute-force searches gives the same result
         oracle = {"_singular_point": tate_oracle.singular_point, "_cubic": tate_oracle.cubic}
         with mock.patch.multiple(tate, **oracle):
             assert repr(tate_algorithm(e, p)) == repr(r)
+
+
+def test_papadopoulos_table_on_the_frozen_rows():
+    rows = [(case, want) for case, want in FROZEN if case[1] >= 5]
+    assert {want[0] for _, want in rows} >= {"I0*", "I1*", "IV*", "III*", "II*", "III", "I5"}
+    for (coeffs, p), (kodaira, _n, _f, _c, _m, v_disc, *_rest) in rows:
+        assert tate_oracle.papadopoulos(WeierstrassModel(*coeffs), p) == (kodaira, v_disc)
+    with pytest.raises(ValueError):
+        tate_oracle.papadopoulos(WeierstrassModel(0, -1, 1, -10, -20), 3)
+
+
+def test_papadopoulos_table_on_the_search_curves():
+    from cuspgate import searches
+
+    runs = [
+        searches.search_neumann_setzer(2000),
+        searches.search_2p_family(12),
+        searches.search_8p_family(1000),
+        searches.search_4pq_family(120),
+        searches.verify_z2z4_classification(100).hits,
+    ]
+    checked = 0
+    for hit in itertools.chain(*runs):
+        if hit.curve is None:
+            continue
+        for p, r in tate._local_data(hit.curve):
+            if p >= 5:
+                assert tate_oracle.papadopoulos(hit.curve, p) == (r.kodaira, r.v_disc), (hit, p)
+                checked += 1
+    assert checked > 100
