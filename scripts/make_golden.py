@@ -1,23 +1,33 @@
 #!/usr/bin/env python3
-"""Write the golden corpus of Tate's algorithm to tests/golden/tate.txt.
+"""Write the golden corpora to tests/golden/: tate.txt and searches.txt.
 
-    python3 scripts/make_golden.py            # rewrite tests/golden/tate.txt
-    python3 scripts/make_golden.py OUT.txt    # write somewhere else
+    python3 scripts/make_golden.py        # rewrite both files in tests/golden/
+    python3 scripts/make_golden.py DIR    # write DIR/tate.txt and DIR/searches.txt
 
-Each line is tab-separated and ends in one repr:
+Each line is tab-separated and ends in one repr.  In tate.txt:
 
     tate   <(a1, a2, a3, a4, a6)>  <p>  <repr(tate_algorithm(E, p))>
     local  <(a1, a2, a3, a4, a6)>       <repr(list(_local_data(E)))>
+
+In searches.txt, one line per hit, in the order the search returns them:
+
+    search  <function>  <bound>  <keyword arguments>  <repr(hit)>
+
+and for the Z/2 x Z/4 sweep one more line whose repr is its report with
+the hits left out.
 
 The tate lines are seeded models with bad reduction at p in PRIMES: random
 p-adic valuations, I_n* chains up to I10*, and models scaled
 by u = 1/p so they are not minimal, each moved by a random integral shift.
 The local lines are the curves of the five family searches at SEARCH_BOUNDS.
+The search lines are the five searches at perfbench's full scan bounds,
+with jobs=1, and 4pq at difference 8 and at difference 4 (SEARCH_CORPUS).
 `tests/test_golden.py` replays every line in-process.  The corpus is written
 once from a tree whose output is trusted; a change that alters a line
 regenerates it and says which lines changed and why.
 """
 
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -37,7 +47,16 @@ SEARCH_BOUNDS = {
     "search_4pq_family": 120,
     "verify_z2z4_classification": 100,
 }
-OUT = Path(__file__).resolve().parent.parent / "tests" / "golden" / "tate.txt"
+# perfbench's full scan bounds (perfbench/workloads.py SCAN_BOUNDS["full"])
+SEARCH_CORPUS = (
+    ("search_neumann_setzer", 100_000_000, {}),
+    ("search_2p_family", 24, {}),
+    ("search_8p_family", 180_000, {}),
+    ("search_4pq_family", 6_000, {"difference": 8}),
+    ("search_4pq_family", 6_000, {"difference": 4}),
+    ("verify_z2z4_classification", 2_500, {}),
+)
+OUT = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
 def _random_model(rng, p):
@@ -81,9 +100,27 @@ def search_curves():
     return curves
 
 
+def search_lines():
+    """One line per hit of each search in SEARCH_CORPUS, run with jobs=1."""
+    lines = []
+    for name, bound, kwargs in SEARCH_CORPUS:
+        found = getattr(searches, name)(bound, jobs=1, **kwargs)
+        reprs = [repr(hit) for hit in getattr(found, "hits", found)]
+        if dataclasses.is_dataclass(found):  # the z2z4 report, less its hits
+            reprs.append(repr(dataclasses.replace(found, hits=())))
+        lines += [f"search\t{name}\t{bound}\t{kwargs!r}\t{r}" for r in reprs]
+    return lines
+
+
+def _write(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n")
+    print(f"{path}: {len(lines)} lines, {path.stat().st_size} bytes")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out = Path(argv[0]) if argv else OUT
+    out.mkdir(parents=True, exist_ok=True)
     lines, kinds = [], Counter()
     for coeffs, p in tate_cases(random.Random(SEED), COUNT):
         res = tate_algorithm(WeierstrassModel(*coeffs), p)
@@ -92,10 +129,9 @@ def main(argv=None) -> int:
     curves = search_curves()
     for coeffs in curves:
         lines.append(f"local\t{coeffs!r}\t{list(_local_data(WeierstrassModel(*coeffs)))!r}")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"{out}: {len(lines)} lines, {out.stat().st_size} bytes, {len(curves)} search curves")
-    print(" ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
+    _write(out / "tate.txt", lines)
+    print(f"{len(curves)} search curves; " + " ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
+    _write(out / "searches.txt", search_lines())
     return 0
 
 

@@ -1,18 +1,24 @@
-"""Replay the golden corpus of Tate's algorithm, in-process.
+"""Replay the golden corpora, in-process.
 
 `scripts/make_golden.py` wrote tests/golden/tate.txt: seeded (model, p)
-cases and the local data of the family-search curves, one repr a line.
-Every line must come out byte-identical; the first that differs is named.
+cases and the local data of the family-search curves, one repr a line.  It
+also wrote tests/golden/searches.txt: every hit of the five searches at
+perfbench's full scan bounds, one repr a line.  Every line must come out
+byte-identical; the first that differs is named.
 """
 
 import ast
+import dataclasses
+import itertools
 import time
 from pathlib import Path
 
+from cuspgate import searches
 from cuspgate.curves import WeierstrassModel
 from cuspgate.tate import _local_data, tate_algorithm
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tate.txt"
+SEARCHES = GOLDEN.with_name("searches.txt")
 
 
 def _replay(line: str) -> str:
@@ -33,4 +39,25 @@ def test_golden_tate_corpus_replays_unchanged():
     for number, line in enumerate(lines, 1):
         got = _replay(line)
         assert got == line, f"{GOLDEN.name} line {number} differs:\nwant {line}\ngot  {got}"
+    assert time.perf_counter() - start < 5
+
+
+def _search_lines(name: str, bound: str, kwargs: str) -> list[str]:
+    found = getattr(searches, name)(int(bound), jobs=1, **ast.literal_eval(kwargs))
+    reprs = [repr(hit) for hit in getattr(found, "hits", found)]
+    if dataclasses.is_dataclass(found):  # the z2z4 report, less its hits
+        reprs.append(repr(dataclasses.replace(found, hits=())))
+    return ["\t".join(("search", name, bound, kwargs, r)) for r in reprs]
+
+
+def test_golden_search_corpus_replays_unchanged():
+    lines = SEARCHES.read_text().splitlines()
+    assert len(lines) > 2000 and {line.split("\t", 1)[0] for line in lines} == {"search"}
+    start = time.perf_counter()
+    got = []
+    # one run per (function, bound, keyword arguments), in the file's order
+    for key, _ in itertools.groupby(lines, key=lambda line: tuple(line.split("\t")[1:4])):
+        got += _search_lines(*key)
+    for number, (want, have) in enumerate(itertools.zip_longest(lines, got), 1):
+        assert have == want, f"{SEARCHES.name} line {number} differs:\nwant {want}\ngot  {have}"
     assert time.perf_counter() - start < 5
