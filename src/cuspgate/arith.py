@@ -193,18 +193,23 @@ class Factorization:
 
 
 def factor(n: int) -> Factorization:
-    """Full factorization of n >= 1: trial division by the primes up to 97,
-    then on each cofactor a square peel (a perfect square m = r^2 goes back
-    as r with its multiplicity doubled), a primality proof, or a split by
-    Pollard rho."""
+    """Full factorization of n >= 1: division by the primes up to 97 that
+    one gcd with their product finds in n, then on each cofactor a square
+    peel (a perfect square m = r^2 goes back as r with its multiplicity
+    doubled), a primality proof, or a split by Pollard rho."""
     if n < 1:
         raise ValueError("factor expects n >= 1")
     remaining = n
     found: dict[int, int] = {}
+    g = math.gcd(n, _SMALL_PRIMORIAL)  # the primes up to 97 that divide n
     for p in _SMALL_PRIMES:
-        while remaining % p == 0:
-            found[p] = found.get(p, 0) + 1
-            remaining //= p
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            while remaining % p == 0:
+                found[p] = found.get(p, 0) + 1
+                remaining //= p
     # (cofactor, multiplicity); every cofactor is > 1 with no prime up to 97
     stack = [(remaining, 1)] if remaining > 1 else []
     while stack:

@@ -1,16 +1,18 @@
 """Kodaira types, conductor exponents and Tamagawa numbers at a prime.
 
-This runs the standard step-by-step reduction analysis on the coefficient
-tuple a = (a1, ..., a6) of an integral model, in bare ints: locate the
-singular point of the reduction, translate it to the origin, walk the
-valuation tests, translating as needed, and divide a non-minimal model by p
-and restart.  A translation (u = 1) keeps a integral and the discriminant
-fixed, so v(disc) is computed once and drops by 12 per exact division.  The
-model and transform are built once, in `_result`: with u = p^k after k
-divisions the change is triangular in (s, r, t), so a1, a2 and a3 give s, r
-and t by exact divisions.  The conductor exponent f = v - m + 1 comes from
-v(disc) and the component count m, at every prime, including the wildly
-ramified small ones.
+`_tate` runs the standard step-by-step reduction analysis on the
+coefficient tuple a = (a1, ..., a6) of an integral model, in bare ints:
+locate the singular point of the reduction, translate it to the origin,
+walk the valuation tests, translating as needed, and divide a non-minimal
+model by p and restart.  A translation (u = 1) keeps the discriminant, so
+the caller passes v(disc) and it drops by 12 per exact division.  The
+outcome is a plain tuple (a, k, kodaira, n, c, v, split), with u = p^k.
+f = v - m + 1 comes from v and the component count m at every prime.
+Records are built only for `tate_algorithm` and `_local_data`, in
+`_result`; for a fixed u the change is triangular in (s, r, t), so a1, a2
+and a3 give s, r and t by exact divisions.  `conductor` computes and
+factors the discriminant once per curve and reads f straight off the
+outcome at each of its primes, building no record.
 
 There is one path for every prime.  The singular point, the shape of the
 I0* cubic and its root count are closed forms mod p that branch only on the
@@ -104,10 +106,6 @@ def _tpow(e: int, b: int, c: int, d: int, p: int) -> tuple[int, int, int]:
     return out
 
 
-def _vp(n: int, p: int) -> float:
-    return math.inf if n == 0 else valuation(n, p)
-
-
 def _singular_point(a: tuple, p: int) -> tuple[int, int]:
     """The unique singular point of the reduction mod p, as residues."""
     a1, a2, a3, a4, a6 = a
@@ -149,10 +147,17 @@ class TateResult:
     transform: Transform  # input -> model
 
 
-def _result(e, a, k, p, kodaira, n, c, v, split=None) -> TateResult:
-    """The record for the final tuple a, reached from e with u = p^k."""
+def _exponents(outcome: tuple) -> tuple[int, int]:
+    """(m, f) of `_tate`'s outcome: the component count and f = v - m + 1."""
+    _, _, kodaira, n, _, v, _ = outcome
     m = _COMPONENTS.get(kodaira, n + 5 if kodaira.endswith("*") else n)  # I_n*, I_n
-    f = v - m + 1 if v > 0 else 0
+    return m, (v - m + 1 if v > 0 else 0)
+
+
+def _result(e, p, outcome) -> TateResult:
+    """The record of `_tate`'s outcome at p, its final tuple a reached from e."""
+    a, k, kodaira, n, c, v, split = outcome
+    m, f = _exponents(outcome)
     # solve u a1' = a1 + 2s, u^2 a2' = a2 - s a1 + 3r - s^2, u^3 a3' = a3 + r a1 + 2t
     u = p**k
     e1, e2, e3, _, _ = e.coefficients()
@@ -169,22 +174,23 @@ def tate_algorithm(e: WeierstrassModel, p: int) -> TateResult:
         raise ValueError("model must have integer coefficients")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _tate(e, p)
+    return _result(e, p, _tate(e, p, valuation(e.disc, p)))  # raises on disc 0, also under -O
 
 
-def _tate(e: WeierstrassModel, p: int) -> TateResult:
-    """tate_algorithm for an integral model and a p already proven prime."""
+def _tate(e: WeierstrassModel, p: int, v: int) -> tuple:
+    """tate_algorithm for an integral model, a p already proven prime and
+    v = v_p(disc), as the bare outcome (a, k, kodaira, n, c, v, split)."""
     a = e.coefficients()
     k = 0
-    v = valuation(e.disc, p)  # raises on a zero discriminant, also under -O
 
     while True:
         if v == 0:
-            return _result(e, a, k, p, "I0", 0, 1, 0)
+            return a, k, "I0", 0, 1, 0, None
 
         x0, y0 = _singular_point(a, p)
         a = a1, a2, a3, a4, a6 = _shifted(a, x0, 0, y0)
-        assert all(_vp(x, p) >= 1 for x in (a3, a4, a6))
+        if a3 % p or a4 % p or a6 % p:
+            raise AssertionError(f"({x0}, {y0}) is not the singular point mod {p}")
         b2, _, b6, b8 = _b_invariants(a)
 
         if b2 % p != 0:
@@ -192,43 +198,46 @@ def _tate(e: WeierstrassModel, p: int) -> TateResult:
             kind, _ = _quad(1, a1, -a2, p)
             split = kind == "distinct_split"
             c = v if split else (2 if v % 2 == 0 else 1)
-            return _result(e, a, k, p, f"I{v}", v, c, v, split)
+            return a, k, f"I{v}", v, c, v, split
 
-        if _vp(a6, p) < 2:
-            return _result(e, a, k, p, "II", 0, 1, v)
-        if _vp(b8, p) < 3:
-            return _result(e, a, k, p, "III", 0, 2, v)
-        if _vp(b6, p) < 3:
+        if a6 % p**2:
+            return a, k, "II", 0, 1, v, None
+        if b8 % p**3:
+            return a, k, "III", 0, 2, v, None
+        if b6 % p**3:
             kind, _ = _quad(1, _exact(a3, p, 1), -_exact(a6, p, 2), p)
-            assert kind != "double"
+            if kind == "double":
+                raise AssertionError(f"type IV needs distinct roots mod {p}")
             c = 3 if kind == "distinct_split" else 1
-            return _result(e, a, k, p, "IV", 0, c, v)
+            return a, k, "IV", 0, c, v, None
 
         a = a1, a2, a3, a4, a6 = _normalize(a, p)
 
         # the reduced cubic T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3)
         shape, info = _cubic(_exact(a2, p, 1), _exact(a4, p, 2), _exact(a6, p, 3), p)
         if shape == "distinct":
-            return _result(e, a, k, p, "I0*", 0, 1 + info, v)
+            return a, k, "I0*", 0, 1 + info, v, None
         # a double or a triple root: translate it to T = 0
         a = a1, a2, a3, a4, a6 = _shifted(a, p * info, 0, 0)
+        # v(a2) = 1 after a double root, v(a2) >= 2 after a triple one
+        if a2 % p or a4 % p**3 or a6 % p**4 or (a2 % p**2 == 0) != (shape == "triple"):
+            raise AssertionError(f"the {shape} root did not move to 0 mod {p}")
         if shape == "double":
-            assert _vp(a2, p) == 1 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4
             a, n, c = _in_star(a, p, v)
-            return _result(e, a, k, p, f"I{n}*", n, c, v)
-        assert _vp(a2, p) >= 2 and _vp(a4, p) >= 3 and _vp(a6, p) >= 4
+            return a, k, f"I{n}*", n, c, v, None
 
         kind, root = _quad(1, _exact(a3, p, 2), -_exact(a6, p, 4), p)
         if kind != "double":
             c = 3 if kind == "distinct_split" else 1
-            return _result(e, a, k, p, "IV*", 0, c, v)
+            return a, k, "IV*", 0, c, v, None
         a = a1, a2, a3, a4, a6 = _shifted(a, 0, 0, p * p * root)
-        assert _vp(a3, p) >= 3 and _vp(a6, p) >= 5
+        if a3 % p**3 or a6 % p**5:
+            raise AssertionError(f"the double root of the IV* test did not move to 0 mod {p}")
 
-        if _vp(a4, p) < 4:
-            return _result(e, a, k, p, "III*", 0, 2, v)
-        if _vp(a6, p) < 6:
-            return _result(e, a, k, p, "II*", 0, 1, v)
+        if a4 % p**4:
+            return a, k, "III*", 0, 2, v, None
+        if a6 % p**6:
+            return a, k, "II*", 0, 1, v, None
 
         # non-minimal: all a_i divisible by p^i, divide out and restart
         a = tuple(_exact(x, p, w) for x, w in zip(a, (1, 2, 3, 4, 6)))
@@ -247,17 +256,18 @@ def _normalize(a, p):
     """Arrange v(a1)>=1, v(a2)>=1, v(a3)>=2, v(a4)>=2, v(a6)>=3."""
     a1, a2, a3, _, a6 = a
     if p == 2:
-        assert a1 % 2 == 0  # b2 = a1^2 + 4 a2 is even here
+        # b2 = a1^2 + 4 a2 is even here, and v(b6)>=3 with v(a6)>=2 forces
+        # v(a3)>=2 already
+        if a1 % 2 or a3 % 4:
+            raise AssertionError("a1 is odd or 4 does not divide a3, though 2 | b2 and 8 | b6")
         s = a2 % 2
-        # v(b6)>=3 with v(a6)>=2 forces v(a3)>=2 already; pick t in {0,2}
-        assert _vp(a3, 2) >= 2
-        t = 2 * (_exact(a6, 2, 2) % 2)
+        t = 2 * (_exact(a6, 2, 2) % 2)  # pick t in {0,2}
     else:
         s = -a1 * pow(2, -1, p) % p
         t = -a3 * pow(2, -1, p * p) % (p * p)
     a = a1, a2, a3, a4, a6 = _shifted(a, 0, s, t)
-    assert _vp(a1, p) >= 1 and _vp(a2, p) >= 1
-    assert _vp(a3, p) >= 2 and _vp(a4, p) >= 2 and _vp(a6, p) >= 3
+    if a1 % p or a2 % p or a3 % p**2 or a4 % p**2 or a6 % p**3:
+        raise AssertionError(f"the model did not normalize at {p}")
     return a
 
 
@@ -291,8 +301,12 @@ def _in_star(a, p, v):
 
 def conductor(e: WeierstrassModel) -> int:
     """Conductor of E/Q (the model need not be minimal, only integral up to
-    clearing denominators)."""
-    return math.prod(p**res.f for p, res in _local_data(e))
+    clearing denominators): f read off `_tate`'s outcome at each prime of
+    the discriminant, with no records built."""
+    if not e.is_integral():  # integral_model builds a Transform even for u = 1
+        e = e.integral_model()[0]
+    # factor proves its primes and gives v_p(disc) with each
+    return math.prod(p ** _exponents(_tate(e, p, v))[1] for p, v in factor(abs(e.disc)).pairs)
 
 
 def _local_data(e: WeierstrassModel):
@@ -300,5 +314,5 @@ def _local_data(e: WeierstrassModel):
     integral model of e, ascending."""
     e = e.integral_model()[0]
     # factor proves its primes, so they skip tate_algorithm's primality test
-    for p in factor(abs(int(e.disc))).primes():
-        yield p, _tate(e, p)
+    for p, v in factor(abs(e.disc)).pairs:
+        yield p, _result(e, p, _tate(e, p, v))

@@ -10,12 +10,15 @@ byte-identical; the first that differs is named.
 import ast
 import dataclasses
 import itertools
+import math
+import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from cuspgate import searches
-from cuspgate.curves import WeierstrassModel
-from cuspgate.tate import _local_data, tate_algorithm
+from cuspgate.curves import Transform, WeierstrassModel, apply_transform
+from cuspgate.tate import _local_data, conductor, tate_algorithm
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tate.txt"
 SEARCHES = GOLDEN.with_name("searches.txt")
@@ -61,3 +64,27 @@ def test_golden_search_corpus_replays_unchanged():
     for number, (want, have) in enumerate(itertools.zip_longest(lines, got), 1):
         assert have == want, f"{SEARCHES.name} line {number} differs:\nwant {want}\ngot  {have}"
     assert time.perf_counter() - start < 5
+
+
+def _corpus_curves() -> list[tuple]:
+    """The distinct curves of the local lines and of the search hits."""
+    curves = {}
+    for line in GOLDEN.read_text().splitlines():
+        kind, coeffs, *_ = line.split("\t")
+        if kind == "local":
+            curves[ast.literal_eval(coeffs)] = None
+    model = re.compile(r"curve=WeierstrassModel\(" + ", ".join(rf"a{i}=(-?\d+)" for i in (1, 2, 3, 4, 6)))
+    for match in model.finditer(SEARCHES.read_text()):
+        curves[tuple(map(int, match.groups()))] = None
+    return list(curves)
+
+
+def test_conductor_is_the_product_of_the_local_exponents_on_the_corpus():
+    curves = [WeierstrassModel(*coeffs) for coeffs in _corpus_curves()]
+    assert len(curves) > 2000
+    # and one model with denominators: 11a1 with x and y scaled by 1/4, 1/8
+    rational = apply_transform(WeierstrassModel(0, -1, 1, -10, -20), Transform(2, 0, 0, 0))
+    assert not rational.is_integral() and rational.a6 == Fraction(-20, 64)
+    for e in curves + [rational]:
+        assert conductor(e) == math.prod(p**res.f for p, res in _local_data(e)), e
+    assert conductor(rational) == 11

@@ -44,6 +44,8 @@ print(outcome(Factorization._of_proven_primes, 12, ((2, 1), (5, 1))))
 searches._odd_prime_power = lambda n, sieve: (3, 1)  # u = 3 and v = 11 both "powers of 3"
 print(outcome(searches._scan_4pq, 3, 4, 11, 8))
 print(outcome(is_prime, 3317044064679887385961981))
+tate._singular_point = lambda a, p: (0, 0)  # 11a1's singular point mod 11 is (5, 5)
+print(outcome(tate.tate_algorithm, WeierstrassModel(0, -1, 1, -10, -20), 11))
 """
 
 
@@ -72,4 +74,5 @@ def test_checks_still_raise_under_python_O():
         "ValueError",  # proven primes whose product is not n
         "AssertionError",  # 4pq's u and v powers of one prime
         "ValueError",  # psi_13: past the proven primality bound
+        "AssertionError",  # Tate's loop handed a point that is not singular
     ]

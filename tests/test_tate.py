@@ -92,18 +92,36 @@ def test_result_model_and_transform_are_consistent():
         assert r.v_disc == (valuation(r.model.disc, p) if r.model.disc else 0)
 
 
-def test_each_result_builds_one_model_and_one_transform():
+def _count_records(fn, *args):
+    """(WeierstrassModel, Transform) constructions made by fn(*args)."""
+    spy_model, spy_transform = (
+        mock.patch.object(cls, "__post_init__", autospec=True, side_effect=cls.__post_init__)
+        for cls in (WeierstrassModel, Transform)
+    )
+    with spy_model as models, spy_transform as transforms:
+        fn(*args)
+    return models.call_count, transforms.call_count
+
+
+def test_tate_algorithm_builds_one_model_and_one_transform():
     # the loop runs on a coefficient tuple: no record per step, even on the
     # I_n* chains and the non-minimal models among the frozen rows
     for (coeffs, p), _ in FROZEN:
         e = WeierstrassModel(*coeffs)
-        spy_model, spy_transform = (
-            mock.patch.object(cls, "__post_init__", autospec=True, side_effect=cls.__post_init__)
-            for cls in (WeierstrassModel, Transform)
-        )
-        with spy_model as models, spy_transform as transforms:
-            tate._tate(e, p)
-        assert (models.call_count, transforms.call_count) == (1, 1), (coeffs, p)
+        assert _count_records(tate_algorithm, e, p) == (1, 1), (coeffs, p)
+
+
+def test_conductor_of_an_integral_model_builds_no_records():
+    # conductor reads f off the bare outcome of the loop at every prime
+    refused = []
+    for (coeffs, _), _ in FROZEN:
+        e = WeierstrassModel(*coeffs)
+        try:
+            assert _count_records(conductor, e) == (0, 0), coeffs
+        except ValueError:
+            refused.append(coeffs)
+    # two discriminants leave a cofactor past is_prime's proven bound
+    assert len(refused) == 2
 
 
 def test_split_test_runs_on_the_translated_model():
