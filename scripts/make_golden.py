@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Write the golden corpora to tests/golden/: tate.txt and searches.txt.
+"""Write the golden corpora to tests/golden/: tate.txt, searches.txt, cusps.txt.
 
-    python3 scripts/make_golden.py        # rewrite both files in tests/golden/
-    python3 scripts/make_golden.py DIR    # write DIR/tate.txt and DIR/searches.txt
+    python3 scripts/make_golden.py        # rewrite the three files in tests/golden/
+    python3 scripts/make_golden.py DIR    # write them to DIR instead
 
 Each line is tab-separated and ends in one repr.  In tate.txt:
 
@@ -14,7 +14,9 @@ In searches.txt, one line per hit, in the order the search returns them:
     search  <function>  <bound>  <keyword arguments>  <repr(hit)>
 
 and for the Z/2 x Z/4 sweep one more line whose repr is its report with
-the hits left out.
+the hits left out.  In cusps.txt, one line per level of CUSP_LEVELS:
+
+    <N>  <repr(cuspidal_group_structure(N))>
 
 The tate lines are seeded models with bad reduction at p in PRIMES: random
 p-adic valuations, I_n* chains up to I10*, and models scaled
@@ -22,6 +24,7 @@ by u = 1/p so they are not minimal, each moved by a random integral shift.
 The local lines are the curves of the five family searches at SEARCH_BOUNDS.
 The search lines are the five searches at perfbench's full scan bounds,
 with jobs=1, and 4pq at difference 8 and at difference 4 (SEARCH_CORPUS).
+The cusps lines are every square-free N < 3000, then 30030 and 255255.
 `tests/test_golden.py` replays every line in-process.  The corpus is written
 once from a tree whose output is trusted; a change that alters a line
 regenerates it and says which lines changed and why.
@@ -34,6 +37,8 @@ from collections import Counter
 from pathlib import Path
 
 from cuspgate import searches
+from cuspgate.arith import factor
+from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure
 from cuspgate.curves import Transform, WeierstrassModel, apply_transform
 from cuspgate.tate import _local_data, tate_algorithm
 
@@ -56,6 +61,7 @@ SEARCH_CORPUS = (
     ("search_4pq_family", 6_000, {"difference": 4}),
     ("verify_z2z4_classification", 2_500, {}),
 )
+CUSP_LEVELS = [n for n in range(2, 3000) if factor(n).is_squarefree()] + [30030, 255255]
 OUT = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
@@ -112,6 +118,11 @@ def search_lines():
     return lines
 
 
+def cusp_lines():
+    """One line per level of CUSP_LEVELS: N and its cuspidal group."""
+    return [f"{n}\t{cuspidal_group_structure(SquarefreeLevel.of(n))!r}" for n in CUSP_LEVELS]
+
+
 def _write(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
     print(f"{path}: {len(lines)} lines, {path.stat().st_size} bytes")
@@ -132,6 +143,7 @@ def main(argv=None) -> int:
     _write(out / "tate.txt", lines)
     print(f"{len(curves)} search curves; " + " ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
     _write(out / "searches.txt", search_lines())
+    _write(out / "cusps.txt", cusp_lines())
     return 0
 
 

@@ -3,8 +3,9 @@
 `scripts/make_golden.py` wrote tests/golden/tate.txt: seeded (model, p)
 cases and the local data of the family-search curves, one repr a line.  It
 also wrote tests/golden/searches.txt: every hit of the five searches at
-perfbench's full scan bounds, one repr a line.  Every line must come out
-byte-identical; the first that differs is named.
+perfbench's full scan bounds, one repr a line, and tests/golden/cusps.txt:
+the cuspidal group of every square-free N < 3000, of 30030 and of 255255.
+Every line must come out byte-identical; the first that differs is named.
 """
 
 import ast
@@ -17,11 +18,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from cuspgate import searches
+from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure
 from cuspgate.curves import Transform, WeierstrassModel, apply_transform
 from cuspgate.tate import _local_data, conductor, tate_algorithm
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tate.txt"
 SEARCHES = GOLDEN.with_name("searches.txt")
+CUSPS = GOLDEN.with_name("cusps.txt")
 
 
 def _replay(line: str) -> str:
@@ -63,6 +66,17 @@ def test_golden_search_corpus_replays_unchanged():
         got += _search_lines(*key)
     for number, (want, have) in enumerate(itertools.zip_longest(lines, got), 1):
         assert have == want, f"{SEARCHES.name} line {number} differs:\nwant {want}\ngot  {have}"
+    assert time.perf_counter() - start < 5
+
+
+def test_golden_cusp_corpus_replays_unchanged():
+    lines = CUSPS.read_text().splitlines()
+    assert len(lines) == 1825 and lines[-1].startswith("255255\t")
+    start = time.perf_counter()
+    for number, line in enumerate(lines, 1):
+        n = line.split("\t", 1)[0]
+        got = f"{n}\t{cuspidal_group_structure(SquarefreeLevel.of(int(n)))!r}"
+        assert got == line, f"{CUSPS.name} line {number} differs:\nwant {line}\ngot  {got}"
     assert time.perf_counter() - start < 5
 
 
