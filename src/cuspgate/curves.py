@@ -60,7 +60,7 @@ class WeierstrassModel:
     def integral_model(self) -> tuple["WeierstrassModel", "Transform"]:
         """Clear denominators with a (u,0,0,0) change, u = 1/c."""
         if self.is_integral():
-            return self, Transform.identity()
+            return self, _IDENTITY
         c = lcm(*(Fraction(a).denominator for a in self.coefficients()))
         t = Transform(Fraction(1, c), 0, 0, 0)
         return apply_transform(self, t), t
@@ -85,9 +85,10 @@ class BInvariants:
 
 
 def b_invariants(e: WeierstrassModel) -> BInvariants:
-    out = BInvariants(e.b2, e.b4, e.b6, e.b8, e.disc)
-    assert 4 * out.b8 == out.b2 * out.b6 - out.b4 * out.b4
-    return out
+    b2, b4, b6, b8 = b = _b_invariants(e.coefficients())
+    if 4 * b8 != b2 * b6 - b4 * b4:
+        raise AssertionError(f"4 b8 != b2 b6 - b4^2 for {e}")
+    return BInvariants(*b, _discriminant(b))
 
 
 def _b_invariants(a: tuple) -> tuple[Coeff, Coeff, Coeff, Coeff]:
@@ -154,6 +155,10 @@ class Transform:
 
     def is_identity(self) -> bool:
         return (self.u, self.r, self.s, self.t) == (1, 0, 0, 0)
+
+
+# Transform is frozen, so one identity serves every model that is already integral
+_IDENTITY = Transform.identity()
 
 
 def apply_transform(e: WeierstrassModel, t: Transform) -> WeierstrassModel:

@@ -6,8 +6,11 @@ prod(p_i ** bit_i(k)) over the ascending primes p_i of N.  The linear map
 `lambda_forward` (per-prime blocks [[p,1],[1,p]] scaled by 1/24) carries
 eta-exponent vectors to cusp divisors.  Its inverse is 24 K / D with
 K = tensor_i [[p_i,-1],[-1,p_i]] and D = prod(p_i^2 - 1), so one integer
-congruence system mod D (`_principal_residues`) decides principality,
-divisor order, and the full group structure of the cuspidal subgroup.
+congruence system mod D (`_principal_residues`) decides principality and
+divisor order.  The group structure is read off the same system in
+coordinates where it is diagonal but for t + 1 dense rows
+(`_congruence_rows`), by one elimination mod D that splits over the prime
+powers of D where it must (`lattice.image_invariants`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factor, num
-from .lattice import smith_normal_form
+from .lattice import image_invariants
+
+
+def _products(pairs) -> list[int]:
+    """prod_i (b_i if bit i of k else a_i) for every index k, in bit order."""
+    out = [1]
+    for a, b in pairs:
+        out = [x * a for x in out] + [x * b for x in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,14 +52,7 @@ class SquarefreeLevel:
     @property
     def divisors(self) -> tuple[int, ...]:
         """All divisors of N in bit order (index bit i <-> prime p_i)."""
-        out = []
-        for k in range(1 << self.t):
-            d = 1
-            for i, p in enumerate(self.primes):
-                if k >> i & 1:
-                    d *= p
-            out.append(d)
-        return tuple(out)
+        return tuple(_products((1, p) for p in self.primes))
 
     def divisor_index(self, d: int) -> int:
         if d < 1 or self.n % d != 0:
@@ -224,34 +228,48 @@ def ogg_order(level: SquarefreeLevel, signs) -> int:
     return num(Fraction(prod, 24))
 
 
-def _congruence_rows(level: SquarefreeLevel) -> tuple[list[list[int]], int]:
-    """Integer congruence system C x = 0 (mod D) cutting out the principal
-    sublattice in coordinates x_d (d|N, d != 1) w.r.t. the basis P_d - P_1:
-    column d holds the `_principal_residues` of P_d - P_1.
+def _congruence_rows(level: SquarefreeLevel) -> list[list[int]]:
+    """Rows C with C y = 0 (mod D) exactly on the principal divisors.
+
+    Each block [[p,-1],[-1,p]] of K is E^-1 diag(1, p^2-1) F^-1, with
+    E^-1 = [[-1,0],[p,1]] and F = [[0,1],[1,p]] unimodular.  In y =
+    (tensor F)^-1 w, indexed by the sets S of primes, 24 K w = 0 (mod D)
+    becomes 24 lam_S y_S = 0, lam_S = prod_{p in S}(p^2 - 1); the degree is
+    sum_S delta_S y_S, delta_S = prod_{p in S}(p + 1); the i-th contraction
+    is 12 sum_S rho_i(S) lam_S y_S, rho_i(S) = prod_{j != i, p_j not in S}
+    (p_j - 1), times p_i if p_i is not in S.  Columns: e_S - delta_S e_{}.
     """
-    size = 1 << level.t
-    columns = []
-    for j in range(1, size):
-        basis = [0] * size
-        basis[0], basis[j] = -1, 1
-        columns.append(_principal_residues(level, basis))
-    return [list(row) for row in zip(*columns)], _modulus(level)
+    primes = level.primes
+    lam = _products((1, p * p - 1) for p in primes)
+    delta = _products((1, p + 1) for p in primes)
+    size = len(lam)
+    rows = [[-24 * d for d in delta[1:]]]
+    for s in range(1, size):
+        rows.append([24 * lam[s] if k == s else 0 for k in range(1, size)])
+    for i in range(level.t):
+        rho = _products((p if j == i else p - 1, 1) for j, p in enumerate(primes))
+        rows.append([12 * (rho[s] * lam[s] - rho[0] * delta[s]) for s in range(1, size)])
+    return rows
+
+
+def _modulus_prime_powers(level: SquarefreeLevel):
+    """Yield (l, a) for every l^a || D, from the factorizations of each
+    p - 1 and p + 1: the primes of N are proven, so each of these stays
+    inside `is_prime`'s proven range, where D itself need not."""
+    exponents = {}
+    for p in level.primes:
+        for ell, a in factor(p - 1).pairs + factor(p + 1).pairs:
+            exponents[ell] = exponents.get(ell, 0) + a
+    yield from sorted(exponents.items())
 
 
 def cuspidal_group_structure(level: SquarefreeLevel) -> tuple[int, ...]:
-    """Elementary divisors (d1 | d2 | ...) of the cuspidal subgroup.
-
-    The group is Z^dim modulo the principal sublattice
-    L = {x : C x = 0 (mod D)}, dim = 2^t - 1, with C, D from
-    `_congruence_rows`.  So Z^dim / L is the image C Z^dim mod D, which is
-    the sum of Z/(D / gcd(c_i, D)) over the Smith invariants c_i of C
-    (c_i = 0 past the rank gives a trivial factor).  `smith_normal_form`
-    returns exactly those gcd(c_i, D).
-    """
-    if level.t > 6:
-        raise ValueError("group structure is limited to levels with at most 6 primes")
-    rows, D = _congruence_rows(level)
-    return tuple(sorted(D // g for g in smith_normal_form(rows, D) if g != D))
+    """Elementary divisors (d1 | d2 | ...) of the cuspidal subgroup: Z^dim
+    modulo {y : C y = 0 (mod D)}, dim = 2^t - 1, is the image of C (from
+    `_congruence_rows`) in (Z/D)^rows."""
+    if level.t > 7:
+        raise ValueError("group structure is limited to levels with at most 7 primes")
+    return image_invariants(_congruence_rows(level), _modulus(level), _modulus_prime_powers(level))
 
 
 def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:

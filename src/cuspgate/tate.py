@@ -303,8 +303,7 @@ def conductor(e: WeierstrassModel) -> int:
     """Conductor of E/Q (the model need not be minimal, only integral up to
     clearing denominators): f read off `_tate`'s outcome at each prime of
     the discriminant, with no records built."""
-    if not e.is_integral():  # integral_model builds a Transform even for u = 1
-        e = e.integral_model()[0]
+    e = e.integral_model()[0]
     # factor proves its primes and gives v_p(disc) with each
     return math.prod(p ** _exponents(_tate(e, p, v))[1] for p, v in factor(abs(e.disc)).pairs)
 

@@ -4,10 +4,11 @@
 `lambda_inverse(w)`: it must be integral and each of its per-prime
 contractions (the sum over the divisors divisible by p_i) must be even.
 The order then came from the denominator lcm n0 of that preimage and a test
-of the two candidates n0 and 2*n0, and the group's congruence rows were
-built entry by entry from K = tensor_i [[p,-1],[-1,p]].  The library now
-reads all three off one integer residue vector mod D; the suite compares
-it with these forms.
+of the two candidates n0 and 2*n0.  The library now reads both off one
+integer residue vector mod D; the suite compares it with these forms.
+`congruence_rows` builds the group's generic congruence rows entry by entry
+from K = tensor_i [[p,-1],[-1,p]]; the library's closed-form rows are these
+in other coordinates.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def divisor_order(w: CuspDivisor) -> int:
 
 
 def congruence_rows(level: SquarefreeLevel) -> tuple[list[list[int]], int]:
-    """The rows C and modulus D of `cusps._congruence_rows`, one entry of K
-    at a time."""
+    """The generic rows C and modulus D, one entry of K at a time: column d
+    holds the residues of P_d - P_1, so C x = 0 (mod D) cuts out the principal
+    sublattice in the basis P_d - P_1."""
     t = level.t
     size = 1 << t
     primes = level.primes

@@ -33,6 +33,8 @@ from cuspgate.eta import divisor_of_eta_quotient, ligozat_check
 from cuspgate.gates import KNOWN_ODD_NONSEMISTABLE, gate_nonsemistable, gate_squarefree
 from cuspgate.searches import search_2p_family, search_neumann_setzer, verify_z2z4_classification
 from cuspgate.tate import conductor, tate_algorithm
+import cusps_oracle
+from lattice_oracle import group_structure
 
 
 class budget:
@@ -91,6 +93,20 @@ def test_criterion_02b_group_structures_at_many_primes():
     assert structures[1634] == (3, 21, 6930, 6930, 83160)
     assert structures[858] == (2, 2, 10, 840, 840, 840, 840, 840, 10080, 20160)
     print(f"PASS criterion 2b: {len(levels)} cuspidal groups with 3 to 6 primes in {clock.elapsed:.2f}s")
+
+
+def test_criterion_02c_group_structures_at_seven_primes():
+    """The declared domain ends at 7 primes: 510510 and 570570 finish under a
+    one-second budget together and match the former Smith reduction mod D on
+    the generic congruence rows; 8 primes are refused."""
+    levels = [SquarefreeLevel.of(n) for n in (510510, 570570)]
+    with budget(1) as clock:
+        structures = [cuspidal_group_structure(level) for level in levels]
+    for level, struct in zip(levels, structures):
+        assert struct == group_structure(*cusps_oracle.congruence_rows(level)), level.n
+    with pytest.raises(ValueError, match="at most 7 primes"):
+        cuspidal_group_structure(SquarefreeLevel.of(9699690))
+    print(f"PASS criterion 2c: cuspidal groups at 510510 and 570570 in {clock.elapsed:.2f}s")
 
 
 def test_criterion_03_eta_acceptance_equals_principality():

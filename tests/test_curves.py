@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import curves_oracle
 from cuspgate.curves import (
+    BInvariants,
     INFINITY,
     Point,
     Transform,
@@ -33,6 +34,7 @@ def test_invariants_frozen():
     assert E11.j_invariant() == Fraction(-122023936, 161051)
     assert E37.disc == 37
     b = b_invariants(E11)
+    assert b == BInvariants(-4, -20, -79, -21, -(11**5))
     assert 4 * b.b8 == b.b2 * b.b6 - b.b4**2
 
 
@@ -65,6 +67,8 @@ def test_integral_model():
     assert apply_transform(f, t) == g
     e, t0 = E11.integral_model()
     assert e is E11 and t0.is_identity()
+    # an integral model gets the one shared identity, not a fresh record
+    assert E37.integral_model()[1] is t0
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)

@@ -1,5 +1,7 @@
 import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from cuspgate.cusps import (
     EtaVector,
     SquarefreeLevel,
     _congruence_rows,
+    _modulus,
     apply_2_old_projection,
     cuspidal_group_structure,
     divisor_order,
@@ -20,7 +23,7 @@ from cuspgate.cusps import (
     ogg_order,
 )
 import cusps_oracle
-from lattice_oracle import kernel_group_structure
+from lattice_oracle import group_structure, kernel_group_structure
 
 levels = st.sampled_from([2, 3, 11, 14, 15, 17, 30, 35, 66, 105])
 
@@ -211,11 +214,63 @@ def test_sign_divisors_match_fraction_oracle():
     assert checked == 1610
 
 
+def kron(blocks):
+    """The tensor product of 2x2 integer blocks, block i on bit i of the index."""
+    size = 1 << len(blocks)
+    return [
+        [math.prod(b[k >> i & 1][j >> i & 1] for i, b in enumerate(blocks)) for j in range(size)]
+        for k in range(size)
+    ]
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def test_congruence_rows_match_entrywise_oracle():
-    levels = [n for n in range(2, 2310) if factor(n).is_squarefree()] + [30030]
+    """C = (tensor E_p + I_t) C_generic V, exactly over Z: E_p = [[-1,0],[p,1]]
+    and column S of V is (tensor F_p)(e_S - delta_S e_{}) with F_p = [[0,1],[1,p]],
+    less its entry at d = 1.  Both factors are unimodular, so the two row sets
+    present the same group."""
+    levels = [n for n in range(2, 3000) if factor(n).is_squarefree()]
     for n in levels:
         L = SquarefreeLevel.of(n)
-        assert _congruence_rows(L) == cusps_oracle.congruence_rows(L), n
+        generic, D = cusps_oracle.congruence_rows(L)
+        assert D == _modulus(L)
+        size = 1 << L.t
+        E = kron([[[-1, 0], [p, 1]] for p in L.primes])
+        identity = [[int(i == j) for j in range(L.t)] for i in range(L.t)]
+        left = [row + [0] * L.t for row in E] + [[0] * size + row for row in identity]
+        F = kron([[[0, 1], [1, p]] for p in L.primes])
+        V = []  # columns, then transposed
+        for s in range(1, size):
+            delta = math.prod(p + 1 for i, p in enumerate(L.primes) if s >> i & 1)
+            V.append([F[k][s] - delta * F[k][0] for k in range(1, size)])
+        assert _congruence_rows(L) == matmul(matmul(left, generic), list(map(list, zip(*V)))), n
+
+
+def test_group_structure_matches_modular_smith_oracle():
+    """The local elimination on the structured rows gives what the former
+    Smith reduction mod D gives on the generic rows."""
+    levels = [n for n in range(2, 3000) if factor(n).is_squarefree()] + [30030, 255255]
+    for n in levels:
+        level = SquarefreeLevel.of(n)
+        assert cuspidal_group_structure(level) == group_structure(*cusps_oracle.congruence_rows(level)), n
+
+
+def test_group_structure_never_factors_the_modulus():
+    """D's prime powers come from each p - 1 and p + 1: at two 12-digit primes
+    D has a cofactor past is_prime's proven bound, and the group still comes
+    out, equal to the Smith reduction mod D on the generic rows."""
+    level = SquarefreeLevel.of(10000000002200000000057)
+    assert level.primes == (100000000003, 100000000019)
+    with pytest.raises(ValueError, match="deterministic primality bound"):
+        factor(_modulus(level))
+    with mock.patch("cuspgate.cusps.factor", side_effect=factor) as spy:
+        struct = cuspidal_group_structure(level)
+    assert {c.args[0] for c in spy.call_args_list} == {p + e for p in level.primes for e in (-1, 1)}
+    assert struct == (1666666667000000000006, 1041666667125000000062083333335900000000030)
+    assert struct == group_structure(*cusps_oracle.congruence_rows(level))
 
 
 def closed_form_parts(level):
@@ -275,8 +330,9 @@ def test_group_structure_frozen():
 
 
 def test_group_structure_matches_kernel_oracle():
-    """One Smith reduction mod D gives what the integer kernel -> Smith ->
-    Hermite-index chain gives, wherever that chain finishes below 2310."""
+    """The local elimination gives what the integer kernel -> Smith ->
+    Hermite-index chain gives on the generic rows, wherever that chain
+    finishes below 2310."""
     # entries of the integer chain blow up at these levels
     unbounded = {858, 910, 1122, 1302, 1326, 1410, 1430, 1634, 1794, 1806, 2002, 2145, 2170}
     checked = 0
@@ -284,7 +340,8 @@ def test_group_structure_matches_kernel_oracle():
         if n in unbounded or not factor(n).is_squarefree():
             continue
         level = SquarefreeLevel.of(n)
-        assert cuspidal_group_structure(level) == kernel_group_structure(*_congruence_rows(level)), n
+        generic = cusps_oracle.congruence_rows(level)
+        assert cuspidal_group_structure(level) == kernel_group_structure(*generic), n
         checked += 1
     assert checked == 1390
 

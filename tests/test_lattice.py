@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspgate.lattice import smith_normal_form as modular_snf
-from lattice_oracle import kernel_basis, lattice_index, row_hnf, smith_normal_form
+from cuspgate.lattice import image_invariants
+from lattice_oracle import kernel_basis, lattice_index, modular_smith_normal_form, row_hnf, smith_normal_form
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -148,25 +148,60 @@ def test_kernel_basis_frozen():
     assert kernel_basis([[1, 0], [0, 1]], 2) == []
 
 
+def image(rows, powers):
+    return image_invariants(rows, math.prod(ell**a for ell, a in powers), iter(powers))
+
+
 def test_modular_smith_frozen():
     # integer diagonal (2, 2, 156); 156 = 4 * 3 * 13
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    assert modular_snf(A, 12) == [2, 2, 12]
-    assert modular_snf(A, 13) == [1, 1, 13]
-    assert modular_snf(A, 1) == [1, 1, 1]
-    # a column the rows never reach is free mod m
-    assert modular_snf([[2, 0], [0, 0]], 8) == [2, 8]
-    assert modular_snf([[0, 0]], 5) == [5, 5]
-    # Z/2 + Z/3 = Z/6: the factors come back as a divisor chain
-    assert modular_snf([[2, 0], [0, 3]], 36) == [1, 6]
-    with pytest.raises(ValueError):
-        modular_snf([[1]], 0)
+    # mod 12 the image is Z/(12/2) + Z/(12/2) + Z/(12/12)
+    assert image(A, [(2, 2), (3, 1)]) == (6, 6)
+    assert image(A, [(13, 1)]) == (13, 13)
+    assert image(A, []) == ()
+    # a column the rows never reach adds nothing to the image
+    assert image([[2, 0], [0, 0]], [(2, 3)]) == (4,)
+    assert image([[0, 0]], [(5, 1)]) == ()
+    # Z/4 + Z/9 = Z/36: no entry has the matrix's gcd 1 with 36, so the
+    # elimination splits into 4 and 9, and the l-parts multiply largest with largest
+    assert image([[9, 0], [0, 4]], [(2, 2), (3, 2)]) == (36,)
+    assert image([[1, 0], [0, 6]], [(2, 2), (3, 2)]) == (6, 36)
+    # a pivot of least valuation sits in a row that is not first
+    assert image([[4, 8], [2, 6]], [(2, 3)]) == (2, 4)
+
+
+def test_prime_powers_are_read_only_when_the_elimination_stops_short():
+    def unread():
+        raise AssertionError("read")
+        yield
+
+    # the entry 5 has the matrix's gcd 1 with 36: one pivot finishes
+    assert image_invariants([[5, 10], [0, 0]], 36, unread()) == (36,)
+    # 9 and 4 have gcds 9 and 4 with 36, the matrix has 1: split
+    assert image_invariants([[9, 0], [0, 4]], 36, iter([(2, 2), (3, 2)])) == (36,)
+
+
+prime_powers = st.lists(
+    st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4)), max_size=3, unique_by=lambda pa: pa[0]
+)
+
+
+@settings(max_examples=300)
+@given(small_matrix, prime_powers)
+def test_modular_smith_matches_integer_smith(rows, powers):
+    """The elimination gives Z/(D / gcd(d_i, D)) over the integer Smith
+    diagonal d_i, for D a product of prime powers."""
+    D = math.prod(ell**a for ell, a in powers)
+    want = sorted(D // math.gcd(d, D) for d in smith_normal_form(rows))
+    assert list(image(rows, powers)) == [q for q in want if q > 1]
 
 
 @settings(max_examples=200)
 @given(small_matrix, st.integers(1, 720))
-def test_modular_smith_matches_integer_smith(rows, m):
+def test_modular_smith_oracle_matches_integer_smith(rows, m):
     """gcd(d_i, m) over the integer Smith diagonal, padded with 0 to the width."""
     diag = smith_normal_form(rows)
     diag += [0] * (len(rows[0]) - len(diag))
-    assert modular_snf(rows, m) == [math.gcd(d, m) for d in diag]
+    assert modular_smith_normal_form(rows, m) == [math.gcd(d, m) for d in diag]
+    with pytest.raises(ValueError):
+        modular_smith_normal_form(rows, 0)

@@ -6,7 +6,7 @@ import sys
 _SCRIPT = """
 import sys
 from fractions import Fraction
-from cuspgate import cusps, gates, searches, tate
+from cuspgate import curves, cusps, gates, searches, tate
 from cuspgate.arith import Factorization, is_prime
 from cuspgate.curves import WeierstrassModel
 from cuspgate.searches import _assert_z2z4_torsion
@@ -46,6 +46,10 @@ print(outcome(searches._scan_4pq, 3, 4, 11, 8))
 print(outcome(is_prime, 3317044064679887385961981))
 tate._singular_point = lambda a, p: (0, 0)  # 11a1's singular point mod 11 is (5, 5)
 print(outcome(tate.tate_algorithm, WeierstrassModel(0, -1, 1, -10, -20), 11))
+e11 = WeierstrassModel(0, -1, 1, -10, -20)
+print(outcome(curves.b_invariants, e11))
+curves._b_invariants = lambda a: (1, 1, 1, 1)  # 4 b8 = 4, but b2 b6 - b4^2 = 0
+print(outcome(curves.b_invariants, e11))
 """
 
 
@@ -75,4 +79,6 @@ def test_checks_still_raise_under_python_O():
         "AssertionError",  # 4pq's u and v powers of one prime
         "ValueError",  # psi_13: past the proven primality bound
         "AssertionError",  # Tate's loop handed a point that is not singular
+        "returned",  # the b-invariants of 11a1
+        "AssertionError",  # b-invariants that break 4 b8 = b2 b6 - b4^2
     ]
