@@ -38,11 +38,11 @@ def _eliminate(rows: list[list[int]], m: int) -> tuple[list[int], list[list[int]
             break
         piv, floor = A.pop(pr), g
         unit = pow(piv[pc] // g, -1, m // g)
-        rest = [(j, y) for j, y in enumerate(piv) if y and j != pc]
+        others = [(j, y) for j, y in enumerate(piv) if y and j != pc]
         for row in A:
             if row[pc]:
                 q = row[pc] // g * unit % m
-                for j, y in rest:
+                for j, y in others:
                     row[j] = (row[j] - q * y) % m
             del row[pc]
         part.append(m // g)

@@ -5,9 +5,9 @@ index: the chain `cuspidal_group_structure` used before it switched to one
 Smith reduction modulo D.  Entries grow without bound, so these only finish
 on small inputs; the suite compares the library against them there.
 
-`modular_smith_normal_form` is that Smith reduction modulo D, the path the
-library took before its local elimination: extended-gcd row and column
-operations with entries kept in [0, D).  It finishes on every cuspidal
+`modular_smith_normal_form` is that Smith reduction modulo D: extended-gcd
+row and column operations with entries kept in [0, D), the library's path
+until it eliminated without extended gcds.  It finishes on every cuspidal
 congruence system up to 7 primes, and the suite checks the library against
 it on the generic rows of `cusps_oracle.congruence_rows`.
 """

@@ -250,8 +250,8 @@ def test_congruence_rows_match_entrywise_oracle():
 
 
 def test_group_structure_matches_modular_smith_oracle():
-    """The local elimination on the structured rows gives what the former
-    Smith reduction mod D gives on the generic rows."""
+    """The elimination on the closed-form rows gives what the former Smith
+    reduction mod D gives on the generic rows."""
     levels = [n for n in range(2, 3000) if factor(n).is_squarefree()] + [30030, 255255]
     for n in levels:
         level = SquarefreeLevel.of(n)
@@ -330,9 +330,8 @@ def test_group_structure_frozen():
 
 
 def test_group_structure_matches_kernel_oracle():
-    """The local elimination gives what the integer kernel -> Smith ->
-    Hermite-index chain gives on the generic rows, wherever that chain
-    finishes below 2310."""
+    """The group is what the integer kernel -> Smith -> Hermite-index chain
+    gives on the generic rows, wherever that chain finishes below 2310."""
     # entries of the integer chain blow up at these levels
     unbounded = {858, 910, 1122, 1302, 1326, 1410, 1430, 1634, 1794, 1806, 2002, 2145, 2170}
     checked = 0
