@@ -9,8 +9,8 @@ K = tensor_i [[p_i,-1],[-1,p_i]] and D = prod(p_i^2 - 1), so one integer
 congruence system mod D (`_principal_residues`) decides principality and
 divisor order.  The group structure is read off the same system in
 coordinates where it is diagonal but for t + 1 dense rows
-(`_congruence_rows`), by one elimination mod D that splits over the prime
-powers of D where it must (`lattice.image_invariants`).
+(`_congruence_rows`), by one elimination over each prime power of D
+(`lattice.image_invariants`).
 """
 
 from __future__ import annotations
@@ -252,15 +252,15 @@ def _congruence_rows(level: SquarefreeLevel) -> list[list[int]]:
     return rows
 
 
-def _modulus_prime_powers(level: SquarefreeLevel):
-    """Yield (l, a) for every l^a || D, from the factorizations of each
-    p - 1 and p + 1: the primes of N are proven, so each of these stays
-    inside `is_prime`'s proven range, where D itself need not."""
+def _modulus_prime_powers(level: SquarefreeLevel) -> list[tuple[int, int]]:
+    """(l, a) for every l^a || D, from the factorizations of each p - 1 and
+    p + 1: the primes of N are proven, so each of these stays inside
+    `is_prime`'s proven range, where D itself need not."""
     exponents = {}
     for p in level.primes:
         for ell, a in factor(p - 1).pairs + factor(p + 1).pairs:
             exponents[ell] = exponents.get(ell, 0) + a
-    yield from sorted(exponents.items())
+    return sorted(exponents.items())
 
 
 def cuspidal_group_structure(level: SquarefreeLevel) -> tuple[int, ...]:
@@ -269,7 +269,7 @@ def cuspidal_group_structure(level: SquarefreeLevel) -> tuple[int, ...]:
     `_congruence_rows`) in (Z/D)^rows."""
     if level.t > 7:
         raise ValueError("group structure is limited to levels with at most 7 primes")
-    return image_invariants(_congruence_rows(level), _modulus(level), _modulus_prime_powers(level))
+    return image_invariants(_congruence_rows(level), _modulus_prime_powers(level))
 
 
 def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:

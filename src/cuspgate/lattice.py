@@ -1,12 +1,11 @@
 """Invariant factors of the image of an integer matrix modulo D.
 
-The image of C in (Z/D)^rows is the sum of Z/(D / gcd(c_i, D)) over the
-Smith diagonal c_i of C.  A pivot whose gcd g with m is the gcd of the
-whole matrix with m divides every entry, so one row operation per row
-clears its column, with no extended gcd and no column operation, and its
-row and column drop out as the summand Z/(m/g).  Over l^a the entry of
-least valuation is such a pivot; over a composite m there may be none,
-and then what is left splits over the prime powers of m.
+For an integer matrix C with Smith diagonal c_1, c_2, ... the image of C in
+(Z/D)^rows is the sum of Z/(D / gcd(c_i, D)).  That sum splits over the
+prime powers l^a || D, and over Z/l^a every entry is a unit times a power
+of l.  So an entry of least valuation v divides every entry: one row
+operation per row clears its column, with no extended gcd and no column
+operation, and its row and column drop out as the summand Z/l^(a - v).
 """
 
 from __future__ import annotations
@@ -14,30 +13,25 @@ from __future__ import annotations
 from math import gcd
 
 
-def _eliminate(rows: list[list[int]], m: int) -> tuple[list[int], list[list[int]]]:
-    """The summands m/g (descending) of the pivots taken over Z/m, and the
-    rows left when no entry has the matrix's gcd with m (none are left over
-    a prime power)."""
-    A = [row[:] for row in rows]
+def _local_part(rows: list[list[int]], m: int) -> list[int]:
+    """The summands m/g (descending) of the image of `rows` over Z/m, m = l^a."""
+    A = [[x % m for x in row] for row in rows]
     part, floor = [], 1
-    while A and A[0]:
-        # the row of least gcd(row, m), and the matrix's gcd with m; no step
-        # lowers that gcd, so a row at the last pivot's (or a unit) ends the search
-        g, content = m, 0
+    while A:
+        # the row of least gcd(row, m) = l^v; no step lowers v, so the
+        # search stops at the first row at the last pivot's v (a unit at first)
+        g = m
         for i, row in enumerate(A):
             h = gcd(m, *row)
-            content = gcd(content, h)
             if h < g:
                 g, pr = h, i
                 if h == floor:
                     break
-        if g == m or g != content:
-            break
-        pc = next((j for j, x in enumerate(A[pr]) if gcd(x, m) == g), None)
-        if pc is None:
+        if g == m:
             break
         piv, floor = A.pop(pr), g
-        unit = pow(piv[pc] // g, -1, m // g)
+        pc = next(j for j, x in enumerate(piv) if gcd(x, m) == g)
+        unit = pow(piv[pc] // g, -1, m)
         others = [(j, y) for j, y in enumerate(piv) if y and j != pc]
         for row in A:
             if row[pc]:
@@ -46,21 +40,17 @@ def _eliminate(rows: list[list[int]], m: int) -> tuple[list[int], list[list[int]
                     row[j] = (row[j] - q * y) % m
             del row[pc]
         part.append(m // g)
-    return part, A
+    return part
 
 
-def image_invariants(rows: list[list[int]], modulus: int, prime_powers) -> tuple[int, ...]:
+def image_invariants(rows: list[list[int]], prime_powers) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... (each > 1) of the span of the columns
-    of `rows` in (Z/modulus)^len(rows).  `prime_powers` yields the (l, a) of
-    `modulus`, read only if the elimination mod `modulus` stops short; every
-    entry left is a multiple of its last pivot, so the l-parts, multiplied
-    largest with largest, continue the chain."""
-    chain, rest = _eliminate(rows, modulus)  # descending
-    tail = []
-    if any(map(any, rest)):
-        for ell, a in prime_powers:
-            part = _eliminate(rest, ell**a)[0]
-            tail += [1] * (len(part) - len(tail))
-            for i, d in enumerate(part):
-                tail[i] *= d
-    return tuple(reversed(chain + tail))
+    of `rows` in (Z/D)^len(rows), D the product of l**a over the pairs
+    (l, a) of `prime_powers`: the l-parts, multiplied largest with largest."""
+    chain = []  # descending
+    for ell, a in prime_powers:
+        part = _local_part(rows, ell**a)
+        chain += [1] * (len(part) - len(chain))
+        for i, d in enumerate(part):
+            chain[i] *= d
+    return tuple(reversed(chain))
