@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Write the golden corpora to tests/golden/: tate.txt, searches.txt, cusps.txt.
+"""Write the golden corpora to tests/golden/: tate.txt, searches.txt, cusps.txt,
+divisors.txt.
 
-    python3 scripts/make_golden.py        # rewrite the three files in tests/golden/
+    python3 scripts/make_golden.py        # rewrite the four files in tests/golden/
     python3 scripts/make_golden.py DIR    # write them to DIR instead
 
 Each line is tab-separated and ends in one repr.  In tate.txt:
@@ -18,6 +19,16 @@ the hits left out.  In cusps.txt, one line per level of CUSP_LEVELS:
 
     <N>  <repr(cuspidal_group_structure(N))>
 
+In divisors.txt, one line per level of DIVISOR_LEVELS and admissible sign
+assignment b of it, the chain of the levels benchmark:
+
+    <N>  <b>  <w>  <repr(n)>  <u>  <repr(ligozat_check(u))>  <divisor_of_eta_quotient(u)>
+
+with w = sign_divisor(N, -b), n = divisor_order(w) and u = lambda_inverse(n*w).
+A divisor is written as its class name and its coefficients in bit order,
+`CuspDivisor[1 -1 -1 1]`: its repr less the level, which is N's, and less
+the Fraction wrappers, which the class requires, so the file stays small.
+
 The tate lines are seeded models with bad reduction at p in PRIMES: random
 p-adic valuations, I_n* chains up to I10*, and models scaled
 by u = 1/p so they are not minimal, each moved by a random integral shift.
@@ -25,6 +36,7 @@ The local lines are the curves of the five family searches at SEARCH_BOUNDS.
 The search lines are the five searches at perfbench's full scan bounds,
 with jobs=1, and 4pq at difference 8 and at difference 4 (SEARCH_CORPUS).
 The cusps lines are every square-free N < 3000, then 30030 and 255255.
+The divisors lines are every square-free N < 1000, then 30030.
 `tests/test_golden.py` replays every line in-process.  The corpus is written
 once from a tree whose output is trusted; a change that alters a line
 regenerates it and says which lines changed and why.
@@ -38,8 +50,10 @@ from pathlib import Path
 
 from cuspgate import searches
 from cuspgate.arith import factor
-from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure
+from cuspgate.atkin_lehner import admissible_sign_assignments, sign_divisor
+from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure, divisor_order, lambda_inverse
 from cuspgate.curves import Transform, WeierstrassModel, apply_transform
+from cuspgate.eta import divisor_of_eta_quotient, ligozat_check
 from cuspgate.tate import _local_data, tate_algorithm
 
 PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 10007)
@@ -62,6 +76,7 @@ SEARCH_CORPUS = (
     ("verify_z2z4_classification", 2_500, {}),
 )
 CUSP_LEVELS = [n for n in range(2, 3000) if factor(n).is_squarefree()] + [30030, 255255]
+DIVISOR_LEVELS = [n for n in CUSP_LEVELS if n < 1000] + [30030]
 OUT = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
@@ -123,6 +138,28 @@ def cusp_lines():
     return [f"{n}\t{cuspidal_group_structure(SquarefreeLevel.of(n))!r}" for n in CUSP_LEVELS]
 
 
+def _divisor(v, level) -> str:
+    assert v.level == level
+    return f"{type(v).__name__}[{' '.join(map(str, v.coeffs))}]"
+
+
+def divisor_lines():
+    """One line per (N, admissible signs) over DIVISOR_LEVELS: the sign
+    divisor, its order, its eta preimage, Ligozat's verdict, and the
+    preimage's divisor."""
+    lines = []
+    for n in DIVISOR_LEVELS:
+        level = SquarefreeLevel.of(n)
+        for a in admissible_sign_assignments(level):
+            w = sign_divisor(level, {p: -b for p, b in zip(level.primes, a.signs)})
+            order = divisor_order(w)
+            u = lambda_inverse(order * w)
+            fields = (_divisor(w, level), repr(order), _divisor(u, level),
+                      repr(ligozat_check(u)), _divisor(divisor_of_eta_quotient(u), level))
+            lines.append("\t".join((str(n), repr(a.signs)) + fields))
+    return lines
+
+
 def _write(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
     print(f"{path}: {len(lines)} lines, {path.stat().st_size} bytes")
@@ -144,6 +181,7 @@ def main(argv=None) -> int:
     print(f"{len(curves)} search curves; " + " ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
     _write(out / "searches.txt", search_lines())
     _write(out / "cusps.txt", cusp_lines())
+    _write(out / "divisors.txt", divisor_lines())
     return 0
 
 

@@ -5,7 +5,10 @@ cases and the local data of the family-search curves, one repr a line.  It
 also wrote tests/golden/searches.txt: every hit of the five searches at
 perfbench's full scan bounds, one repr a line, and tests/golden/cusps.txt:
 the cuspidal group of every square-free N < 3000, of 30030 and of 255255.
-Every line must come out byte-identical; the first that differs is named.
+tests/golden/divisors.txt holds, for every square-free N < 1000 and 30030
+and every admissible sign assignment, the sign divisor, its order, the eta
+preimage of its multiple by that order, Ligozat's verdict and the
+preimage's divisor.  Every line must come out byte-identical; the first that differs is named.
 """
 
 import ast
@@ -18,13 +21,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from cuspgate import searches
-from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure
+from cuspgate.atkin_lehner import admissible_sign_assignments, sign_divisor
+from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure, divisor_order, lambda_inverse
 from cuspgate.curves import Transform, WeierstrassModel, apply_transform
+from cuspgate.eta import divisor_of_eta_quotient, ligozat_check
 from cuspgate.tate import _local_data, conductor, tate_algorithm
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tate.txt"
 SEARCHES = GOLDEN.with_name("searches.txt")
 CUSPS = GOLDEN.with_name("cusps.txt")
+DIVISORS = GOLDEN.with_name("divisors.txt")
 
 
 def _replay(line: str) -> str:
@@ -77,6 +83,38 @@ def test_golden_cusp_corpus_replays_unchanged():
         n = line.split("\t", 1)[0]
         got = f"{n}\t{cuspidal_group_structure(SquarefreeLevel.of(int(n)))!r}"
         assert got == line, f"{CUSPS.name} line {number} differs:\nwant {line}\ngot  {got}"
+    assert time.perf_counter() - start < 5
+
+
+def _divisor(v, level) -> str:
+    """Class name and coefficients; the level must be the line's."""
+    assert v.level == level and all(type(c) is Fraction for c in v.coeffs)
+    return f"{type(v).__name__}[{' '.join(map(str, v.coeffs))}]"
+
+
+def _divisor_lines(n: int) -> list[str]:
+    level = SquarefreeLevel.of(n)
+    lines = []
+    for a in admissible_sign_assignments(level):
+        w = sign_divisor(level, {p: -b for p, b in zip(level.primes, a.signs)})
+        order = divisor_order(w)
+        u = lambda_inverse(order * w)
+        fields = (_divisor(w, level), repr(order), _divisor(u, level),
+                  repr(ligozat_check(u)), _divisor(divisor_of_eta_quotient(u), level))
+        lines.append("\t".join((str(n), repr(a.signs)) + fields))
+    return lines
+
+
+def test_golden_divisor_corpus_replays_unchanged():
+    lines = DIVISORS.read_text().splitlines()
+    assert len(lines) == 669 and lines[-1].startswith("30030\t")
+    start = time.perf_counter()
+    got = []
+    # every admissible assignment of each level, in the file's order
+    for n, _ in itertools.groupby(lines, key=lambda line: line.split("\t", 1)[0]):
+        got += _divisor_lines(int(n))
+    for number, (want, have) in enumerate(itertools.zip_longest(lines, got), 1):
+        assert have == want, f"{DIVISORS.name} line {number} differs:\nwant {want}\ngot  {have}"
     assert time.perf_counter() - start < 5
 
 
