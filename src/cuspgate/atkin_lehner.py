@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor, is_qr
+from .arith import is_qr
 from .cusps import CuspDivisor, SquarefreeLevel
 
 
@@ -69,7 +69,7 @@ def al_fixed_point_exists(w: ALElement) -> bool:
     m = w.level.n // w.r
     if w.r == 1:
         return True
-    return all(is_qr(-p, m) for p in factor(w.r).primes())
+    return all(is_qr(-p, m) for p in w.level.primes if w.r % p == 0)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ prod(p_i ** bit_i(k)) over the ascending primes p_i of N.  The linear map
 eta-exponent vectors to cusp divisors.  Its inverse is 24 K / D with
 K = tensor_i [[p_i,-1],[-1,p_i]] and D = prod(p_i^2 - 1), so one integer
 congruence system mod D (`_principal_residues`) decides principality and
-divisor order.  The group structure is read off the same system in
+divisor order.  Both maps act on the input's integer numerators c over
+their lcm L (`_scaled_tensor`); each entry is then one Fraction, c / (24 L) or
+24 c / (D L).  The group structure is read off the same system in
 coordinates where it is diagonal but for t + 1 dense rows
 (`_congruence_rows`), by one elimination over each prime power of D
 (`lattice.image_invariants`).
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import factor, num
 from .lattice import image_invariants
@@ -49,9 +52,9 @@ class SquarefreeLevel:
     def t(self) -> int:
         return len(self.primes)
 
-    @property
+    @cached_property
     def divisors(self) -> tuple[int, ...]:
-        """All divisors of N in bit order (index bit i <-> prime p_i)."""
+        """All divisors of N in bit order (index bit i <-> prime p_i), built once."""
         return tuple(_products((1, p) for p in self.primes))
 
     def divisor_index(self, d: int) -> int:
@@ -124,24 +127,32 @@ class EtaVector(DivisorVector):
     pass
 
 
-def _apply_slot(coeffs: list, i: int, m00, m01, m10, m11) -> None:
-    """In place: act with [[m00,m01],[m10,m11]] on tensor slot i."""
-    for k in range(len(coeffs)):
-        if k >> i & 1:
-            continue
-        k1 = k | 1 << i
-        v0, v1 = coeffs[k], coeffs[k1]
-        coeffs[k] = m00 * v0 + m01 * v1
-        coeffs[k1] = m10 * v0 + m11 * v1
+def _tensor(level: SquarefreeLevel, ints: list[int], off: int) -> list[int]:
+    """In place: tensor_i [[p_i, off], [off, p_i]] applied to integers."""
+    for i, p in enumerate(level.primes):
+        bit = 1 << i
+        for k in range(len(ints)):
+            if not k & bit:
+                v0, v1 = ints[k], ints[k | bit]
+                ints[k], ints[k | bit] = p * v0 + off * v1, off * v0 + p * v1
+    return ints
+
+
+def _numerators(v: DivisorVector) -> tuple[list[int], int]:
+    """(c, L): L is the lcm of v's denominators and v = c / L entrywise."""
+    L = math.lcm(*(c.denominator for c in v.coeffs))
+    return [c.numerator * (L // c.denominator) for c in v.coeffs], L
+
+
+def _scaled_tensor(v: DivisorVector, off: int, numer: int, denom: int) -> tuple[Fraction, ...]:
+    """(numer/denom) tensor_i [[p_i, off], [off, p_i]] v, on v's integer numerators."""
+    ints, L = _numerators(v)
+    return tuple(Fraction(numer * c, denom * L) for c in _tensor(v.level, ints, off))
 
 
 def lambda_forward(v: EtaVector) -> CuspDivisor:
     """(1/24) * tensor_i [[p_i, 1], [1, p_i]] applied to v."""
-    coeffs = [Fraction(c) for c in v.coeffs]
-    for i, p in enumerate(v.level.primes):
-        _apply_slot(coeffs, i, p, 1, 1, p)
-    scale = Fraction(1, 24)
-    return CuspDivisor(v.level, tuple(scale * c for c in coeffs))
+    return CuspDivisor(v.level, _scaled_tensor(v, 1, 1, 24))
 
 
 def _modulus(level: SquarefreeLevel) -> int:
@@ -151,11 +162,7 @@ def _modulus(level: SquarefreeLevel) -> int:
 
 def lambda_inverse(w: CuspDivisor) -> EtaVector:
     """Exact inverse of lambda_forward: 24 * tensor_i [[p,-1],[-1,p]]/(p^2-1)."""
-    coeffs = [Fraction(c) for c in w.coeffs]
-    for i, p in enumerate(w.level.primes):
-        _apply_slot(coeffs, i, p, -1, -1, p)
-    scale = Fraction(24, _modulus(w.level))
-    return EtaVector(w.level, tuple(scale * c for c in coeffs))
+    return EtaVector(w.level, _scaled_tensor(w, -1, 24, _modulus(w.level)))
 
 
 def _principal_residues(level: SquarefreeLevel, coeffs) -> list[int]:
@@ -167,13 +174,9 @@ def _principal_residues(level: SquarefreeLevel, coeffs) -> list[int]:
     the divisors divisible by p_i is even iff
     12 * sum_{bit_i(k)=1} (K w)_k = 0 (mod D).
     """
-    kw = list(coeffs)
-    for i, p in enumerate(level.primes):
-        _apply_slot(kw, i, p, -1, -1, p)
-    residues = [24 * c for c in kw]
-    for i in range(level.t):
-        residues.append(12 * sum(c for k, c in enumerate(kw) if k >> i & 1))
-    return residues
+    kw = _tensor(level, list(coeffs), -1)
+    contractions = (sum(c for k, c in enumerate(kw) if k >> i & 1) for i in range(level.t))
+    return [24 * c for c in kw] + [12 * c for c in contractions]
 
 
 def _integral_coeffs(w: CuspDivisor, caller: str) -> list[int]:
@@ -222,10 +225,7 @@ def ogg_order(level: SquarefreeLevel, signs) -> int:
         raise ValueError("the all-(+1) sign vector is excluded")
     if level.t == 1:
         return num(Fraction(level.primes[0] - 1, 12))
-    prod = 1
-    for p, b in zip(level.primes, signs):
-        prod *= p + b
-    return num(Fraction(prod, 24))
+    return num(Fraction(math.prod(p + b for p, b in zip(level.primes, signs)), 24))
 
 
 def _congruence_rows(level: SquarefreeLevel) -> list[list[int]]:

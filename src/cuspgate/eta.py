@@ -4,7 +4,9 @@
 eta(M*tau) on X0(N) at the cusp of denominator d, for arbitrary N.  On
 square-free levels those orders assemble to `cusps.lambda_forward` (same
 convention, no relabeling), which the test suite pins down, so
-`divisor_of_eta_quotient` is that tensor map.
+`divisor_of_eta_quotient` is that tensor map.  `ligozat_check` tests the
+exponents' integer numerators c over their lcm L: (1) is L = 1, and
+sum r_d x_d is in 24Z, in (2) and (3), iff sum c_d x_d is in 24 L Z.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cusps import CuspDivisor, EtaVector, lambda_forward
+from .cusps import CuspDivisor, EtaVector, _numerators, lambda_forward
 
 # An exponent family is an EtaVector: rational exponents indexed by divisors.
 EtaExponents = EtaVector
@@ -52,22 +54,19 @@ def ligozat_check(r: EtaExponents) -> LigozatVerdict:
     """
     level = r.level
     failed = []
-    integral = all(c.denominator == 1 for c in r.coeffs)
-    if not integral:
+    c, L = _numerators(r)
+    if L != 1:
         failed.append(1)
-    s2 = sum((c * d for c, d in zip(r.coeffs, level.divisors)), Fraction(0))
-    if s2 % 24 != 0:
+    if sum(x * d for x, d in zip(c, level.divisors)) % (24 * L):
         failed.append(2)
-    s3 = sum((c * (level.n // d) for c, d in zip(r.coeffs, level.divisors)), Fraction(0))
-    if s3 % 24 != 0:
+    if sum(x * (level.n // d) for x, d in zip(c, level.divisors)) % (24 * L):
         failed.append(3)
-    if sum(r.coeffs, Fraction(0)) != 0:
+    if sum(c) != 0:
         failed.append(4)
-    if integral:
+    if L == 1:
         # prod d^(r_d) is a square iff each prime occurs to an even power
-        for i, p in enumerate(level.primes):
-            exponent = sum(int(c) for k, c in enumerate(r.coeffs) if k >> i & 1)
-            if exponent % 2 != 0:
+        for i in range(level.t):
+            if sum(x for k, x in enumerate(c) if k >> i & 1) % 2:
                 failed.append(5)
                 break
     return LigozatVerdict(not failed, tuple(failed))

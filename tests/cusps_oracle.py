@@ -1,4 +1,10 @@
-"""The Fraction form of the principal-lattice test, kept as a test oracle.
+"""The Fraction forms of the tensor maps and of the principal-lattice test,
+kept as test oracles.
+
+`lambda_forward`, `lambda_inverse` and `ligozat_check` are the library's
+maps as they were before they ran on integer numerators over one common
+denominator: every entry is a `Fraction`, multiplied and added in place one
+tensor slot at a time.
 
 `cusps` used to decide principality from the exact eta-exponent preimage
 `lambda_inverse(w)`: it must be integral and each of its per-prime
@@ -16,7 +22,65 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from cuspgate.cusps import CuspDivisor, SquarefreeLevel, lambda_inverse
+from cuspgate.cusps import CuspDivisor, EtaVector, SquarefreeLevel
+from cuspgate.eta import LigozatVerdict
+
+
+def _apply_slot(coeffs: list, i: int, m00, m01, m10, m11) -> None:
+    """In place: act with [[m00,m01],[m10,m11]] on tensor slot i."""
+    for k in range(len(coeffs)):
+        if k >> i & 1:
+            continue
+        k1 = k | 1 << i
+        v0, v1 = coeffs[k], coeffs[k1]
+        coeffs[k] = m00 * v0 + m01 * v1
+        coeffs[k1] = m10 * v0 + m11 * v1
+
+
+def lambda_forward(v: EtaVector) -> CuspDivisor:
+    """(1/24) * tensor_i [[p_i, 1], [1, p_i]] applied to v."""
+    coeffs = [Fraction(c) for c in v.coeffs]
+    for i, p in enumerate(v.level.primes):
+        _apply_slot(coeffs, i, p, 1, 1, p)
+    scale = Fraction(1, 24)
+    return CuspDivisor(v.level, tuple(scale * c for c in coeffs))
+
+
+def lambda_inverse(w: CuspDivisor) -> EtaVector:
+    """24 * tensor_i [[p,-1],[-1,p]] / (p^2-1) applied to w."""
+    coeffs = [Fraction(c) for c in w.coeffs]
+    D = 1
+    for i, p in enumerate(w.level.primes):
+        _apply_slot(coeffs, i, p, -1, -1, p)
+        D *= p * p - 1
+    scale = Fraction(24, D)
+    return EtaVector(w.level, tuple(scale * c for c in coeffs))
+
+
+def ligozat_check(r: EtaVector) -> LigozatVerdict:
+    """The five conditions on Fraction sums: (1) integer exponents;
+    (2) sum r_d * d = 0 mod 24; (3) sum r_d * (N/d) = 0 mod 24;
+    (4) sum r_d = 0; (5), only when 1 holds, prod d^(r_d) a square."""
+    level = r.level
+    failed = []
+    integral = all(c.denominator == 1 for c in r.coeffs)
+    if not integral:
+        failed.append(1)
+    s2 = sum((c * d for c, d in zip(r.coeffs, level.divisors)), Fraction(0))
+    if s2 % 24 != 0:
+        failed.append(2)
+    s3 = sum((c * (level.n // d) for c, d in zip(r.coeffs, level.divisors)), Fraction(0))
+    if s3 % 24 != 0:
+        failed.append(3)
+    if sum(r.coeffs, Fraction(0)) != 0:
+        failed.append(4)
+    if integral:
+        for i in range(level.t):
+            exponent = sum(int(c) for k, c in enumerate(r.coeffs) if k >> i & 1)
+            if exponent % 2 != 0:
+                failed.append(5)
+                break
+    return LigozatVerdict(not failed, tuple(failed))
 
 
 def parity_contractions(u) -> list[Fraction]:

@@ -4,9 +4,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cuspgate.arith import factor, valuation
+from cuspgate.eta import ligozat_check
 from cuspgate.atkin_lehner import admissible_sign_assignments, sign_divisor
 from cuspgate.cusps import (
     CuspDivisor,
@@ -28,10 +29,10 @@ from lattice_oracle import group_structure, kernel_group_structure
 levels = st.sampled_from([2, 3, 11, 14, 15, 17, 30, 35, 66, 105])
 
 
-def rational_vector(level):
+def rational_vector(level, bound=30, max_denominator=24):
     n = 1 << level.t
     return st.lists(
-        st.fractions(min_value=-30, max_value=30, max_denominator=24),
+        st.fractions(min_value=-bound, max_value=bound, max_denominator=max_denominator),
         min_size=n,
         max_size=n,
     ).map(lambda cs: tuple(Fraction(c) for c in cs))
@@ -43,6 +44,11 @@ def test_level_construction():
     assert L.t == 3
     assert L.divisors == (1, 2, 3, 6, 5, 10, 15, 30)  # bit order, not sorted
     assert L.divisor_index(15) == 0b110
+    # built once; eq, hash and repr still see only n and the primes
+    assert L.divisors is L.divisors
+    fresh = SquarefreeLevel.of(30)
+    assert L == fresh and hash(L) == hash(fresh)
+    assert repr(L) == repr(fresh) == "SquarefreeLevel(n=30, primes=(2, 3, 5))"
     with pytest.raises(ValueError):
         SquarefreeLevel.of(12)
     with pytest.raises(ValueError):
@@ -91,6 +97,58 @@ def test_lambda_roundtrip(nc):
     assert lambda_inverse(lambda_forward(v)).coeffs == coeffs
     w = CuspDivisor(L, coeffs)
     assert lambda_forward(lambda_inverse(w)).coeffs == coeffs
+
+
+# every level with at most four primes that the oracle tests draw from
+small_levels = st.sampled_from([2, 3, 11, 6, 15, 35, 30, 105, 210, 1155])
+
+
+def level_and_vector(**kwargs):
+    return small_levels.flatmap(
+        lambda n: rational_vector(SquarefreeLevel.of(n), **kwargs).map(lambda c: (n, c))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@example(nc=(30, (Fraction(0),) * 8))
+@example(nc=(15, (Fraction(1, 2), Fraction(-7, 3), Fraction(5, 12), Fraction(-1))))
+@example(nc=(1155, tuple(Fraction((-1) ** k * (k + 1), k % 5 + 1) for k in range(16))))
+@given(level_and_vector(bound=10**6, max_denominator=10**4))
+def test_integer_maps_match_fraction_oracles(nc):
+    """The maps on integer numerators against their Fraction forms: same
+    classes, levels and coefficients (compared as reprs), same verdicts."""
+    n, coeffs = nc
+    L = SquarefreeLevel.of(n)
+    v, w = EtaVector(L, coeffs), CuspDivisor(L, coeffs)
+    assert repr(lambda_forward(v)) == repr(cusps_oracle.lambda_forward(v))
+    assert repr(lambda_inverse(w)) == repr(cusps_oracle.lambda_inverse(w))
+    assert ligozat_check(v) == cusps_oracle.ligozat_check(v)
+    u = lambda_inverse(w)
+    assert ligozat_check(u) == cusps_oracle.ligozat_check(u)
+
+
+@settings(max_examples=200, deadline=None)
+# sum r_d d = 12 from c = (2, 23) over L = 4: 48 = 0 mod 24, but not mod 96
+@example(nc=(2, (Fraction(0), Fraction(23, 4))), j=1, m=2, third=False)
+@example(nc=(15, (Fraction(1, 3), Fraction(0), Fraction(5, 6), Fraction(0))), j=4, m=2, third=True)
+@given(level_and_vector(), st.integers(-6, 6), st.integers(1, 12), st.booleans())
+def test_ligozat_conditions_2_and_3_on_non_integral_vectors(nc, j, m, third):
+    """Fix one entry so that sum r_d d (or, with `third`, sum r_d N/d) is
+    24 j / m: condition 2 (or 3) holds exactly when m divides j, whatever
+    the common denominator L of the other entries."""
+    n, coeffs = nc
+    L = SquarefreeLevel.of(n)
+    weights = [n // d for d in L.divisors] if third else list(L.divisors)
+    coeffs = list(coeffs)
+    k = len(coeffs) - 1 if third else 0  # the entry of weight 1
+    coeffs[k] = 0
+    coeffs[k] = Fraction(24 * j, m) - sum(c * x for c, x in zip(coeffs, weights))
+    r = EtaVector(L, tuple(coeffs))
+    assume(not r.is_integral())
+    verdict = ligozat_check(r)
+    assert 1 in verdict.failed and 5 not in verdict.failed
+    assert ((3 if third else 2) in verdict.failed) == (j % m != 0)
+    assert verdict == cusps_oracle.ligozat_check(r)
 
 
 def test_is_principal_requires_integral():
