@@ -67,8 +67,6 @@ def al_fixed_point_exists(w: ALElement) -> bool:
     Fricke involution, which always has fixed points).
     """
     m = w.level.n // w.r
-    if w.r == 1:
-        return True
     return all(is_qr(-p, m) for p in w.level.primes if w.r % p == 0)
 
 

@@ -225,7 +225,10 @@ def ogg_order(level: SquarefreeLevel, signs) -> int:
         raise ValueError("the all-(+1) sign vector is excluded")
     if level.t == 1:
         return num(Fraction(level.primes[0] - 1, 12))
-    return num(Fraction(math.prod(p + b for p, b in zip(level.primes, signs)), 24))
+    prod = 1
+    for p, b in zip(level.primes, signs):
+        prod *= p + b
+    return num(Fraction(prod, 24))
 
 
 def _congruence_rows(level: SquarefreeLevel) -> list[list[int]]:

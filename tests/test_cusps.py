@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cuspgate.arith import factor, valuation
-from cuspgate.eta import ligozat_check
 from cuspgate.atkin_lehner import admissible_sign_assignments, sign_divisor
 from cuspgate.cusps import (
     CuspDivisor,
@@ -23,6 +22,7 @@ from cuspgate.cusps import (
     lambda_inverse,
     ogg_order,
 )
+from cuspgate.eta import ligozat_check
 import cusps_oracle
 from lattice_oracle import group_structure, kernel_group_structure
 
@@ -99,7 +99,7 @@ def test_lambda_roundtrip(nc):
     assert lambda_forward(lambda_inverse(w)).coeffs == coeffs
 
 
-# every level with at most four primes that the oracle tests draw from
+# levels with one to four primes, for the tests against the Fraction oracles
 small_levels = st.sampled_from([2, 3, 11, 6, 15, 35, 30, 105, 210, 1155])
 
 
