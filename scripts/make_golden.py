@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Write the golden corpora to tests/golden/: tate.txt, searches.txt, cusps.txt,
-divisors.txt.
+divisors.txt, signs.txt.
 
-    python3 scripts/make_golden.py        # rewrite the four files in tests/golden/
+    python3 scripts/make_golden.py        # rewrite the five files in tests/golden/
     python3 scripts/make_golden.py DIR    # write them to DIR instead
 
 Each line is tab-separated and ends in one repr.  In tate.txt:
@@ -29,6 +29,14 @@ A divisor is written as its class name and its coefficients in bit order,
 `CuspDivisor[1 -1 -1 1]`: its repr less the level, which is N's, and less
 the Fraction wrappers, which the class requires, so the file stays small.
 
+In signs.txt, one line per level of SIGN_LEVELS:
+
+    <N>  <plain>  <composite>  <fixed>
+
+with plain and composite the tuples of `signs` of
+admissible_sign_assignments(N) without and with composite_rule, and fixed the
+divisors r of N, in bit order, for which al_fixed_point_exists(w_r) holds.
+
 The tate lines are seeded models with bad reduction at p in PRIMES: random
 p-adic valuations, I_n* chains up to I10*, and models scaled
 by u = 1/p so they are not minimal, each moved by a random integral shift.
@@ -37,6 +45,7 @@ The search lines are the five searches at perfbench's full scan bounds,
 with jobs=1, and 4pq at difference 8 and at difference 4 (SEARCH_CORPUS).
 The cusps lines are every square-free N < 3000, then 30030 and 255255.
 The divisors lines are every square-free N < 1000, then 30030.
+The signs lines are every square-free N < 1000, then 30030 and 9699690.
 `tests/test_golden.py` replays every line in-process.  The corpus is written
 once from a tree whose output is trusted; a change that alters a line
 regenerates it and says which lines changed and why.
@@ -50,7 +59,7 @@ from pathlib import Path
 
 from cuspgate import searches
 from cuspgate.arith import factor
-from cuspgate.atkin_lehner import admissible_sign_assignments, sign_divisor
+from cuspgate.atkin_lehner import ALElement, admissible_sign_assignments, al_fixed_point_exists, sign_divisor
 from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure, divisor_order, lambda_inverse
 from cuspgate.curves import Transform, WeierstrassModel, apply_transform
 from cuspgate.eta import divisor_of_eta_quotient, ligozat_check
@@ -77,6 +86,7 @@ SEARCH_CORPUS = (
 )
 CUSP_LEVELS = [n for n in range(2, 3000) if factor(n).is_squarefree()] + [30030, 255255]
 DIVISOR_LEVELS = [n for n in CUSP_LEVELS if n < 1000] + [30030]
+SIGN_LEVELS = DIVISOR_LEVELS + [9699690]
 OUT = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
@@ -160,6 +170,19 @@ def divisor_lines():
     return lines
 
 
+def sign_lines():
+    """One line per level of SIGN_LEVELS: the admissible sign assignments
+    without and with the composite rule, and the r whose w_r fixes a point."""
+    lines = []
+    for n in SIGN_LEVELS:
+        level = SquarefreeLevel.of(n)
+        plain, composite = (tuple(a.signs for a in admissible_sign_assignments(level, composite_rule=rule))
+                            for rule in (False, True))
+        fixed = tuple(r for r in level.divisors if al_fixed_point_exists(ALElement(level, r)))
+        lines.append(f"{n}\t{plain!r}\t{composite!r}\t{fixed!r}")
+    return lines
+
+
 def _write(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
     print(f"{path}: {len(lines)} lines, {path.stat().st_size} bytes")
@@ -182,6 +205,7 @@ def main(argv=None) -> int:
     _write(out / "searches.txt", search_lines())
     _write(out / "cusps.txt", cusp_lines())
     _write(out / "divisors.txt", divisor_lines())
+    _write(out / "signs.txt", sign_lines())
     return 0
 
 

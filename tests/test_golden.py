@@ -8,7 +8,10 @@ the cuspidal group of every square-free N < 3000, of 30030 and of 255255.
 tests/golden/divisors.txt holds, for every square-free N < 1000 and 30030
 and every admissible sign assignment, the sign divisor, its order, the eta
 preimage of its multiple by that order, Ligozat's verdict and the
-preimage's divisor.  Every line must come out byte-identical; the first that differs is named.
+preimage's divisor.  tests/golden/signs.txt holds, for every square-free
+N < 1000, 30030 and 9699690, the admissible sign assignments without and
+with the composite rule and the r whose w_r fixes a point.  Every line must
+come out byte-identical; the first that differs is named.
 """
 
 import ast
@@ -21,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from cuspgate import searches
-from cuspgate.atkin_lehner import admissible_sign_assignments, sign_divisor
+from cuspgate.atkin_lehner import ALElement, admissible_sign_assignments, al_fixed_point_exists, sign_divisor
 from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure, divisor_order, lambda_inverse
 from cuspgate.curves import Transform, WeierstrassModel, apply_transform
 from cuspgate.eta import divisor_of_eta_quotient, ligozat_check
@@ -31,6 +34,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "tate.txt"
 SEARCHES = GOLDEN.with_name("searches.txt")
 CUSPS = GOLDEN.with_name("cusps.txt")
 DIVISORS = GOLDEN.with_name("divisors.txt")
+SIGNS = GOLDEN.with_name("signs.txt")
 
 
 def _replay(line: str) -> str:
@@ -115,6 +119,20 @@ def test_golden_divisor_corpus_replays_unchanged():
         got += _divisor_lines(int(n))
     for number, (want, have) in enumerate(itertools.zip_longest(lines, got), 1):
         assert have == want, f"{DIVISORS.name} line {number} differs:\nwant {want}\ngot  {have}"
+    assert time.perf_counter() - start < 5
+
+
+def test_golden_sign_corpus_replays_unchanged():
+    lines = SIGNS.read_text().splitlines()
+    assert len(lines) == 609 and lines[-1].startswith("9699690\t")
+    start = time.perf_counter()
+    for number, line in enumerate(lines, 1):
+        level = SquarefreeLevel.of(int(line.split("\t", 1)[0]))
+        plain, composite = (tuple(a.signs for a in admissible_sign_assignments(level, composite_rule=rule))
+                            for rule in (False, True))
+        fixed = tuple(r for r in level.divisors if al_fixed_point_exists(ALElement(level, r)))
+        got = f"{level.n}\t{plain!r}\t{composite!r}\t{fixed!r}"
+        assert got == line, f"{SIGNS.name} line {number} differs:\nwant {line}\ngot  {got}"
     assert time.perf_counter() - start < 5
 
 
