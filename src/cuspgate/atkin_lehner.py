@@ -1,8 +1,10 @@
 """Atkin-Lehner involutions acting on the cusps of X0(N), square-free N.
 
-Everything here works with divisor labels: w_s sends the cusp of
-denominator r to the cusp of denominator s*r / gcd(s,r)^2, which is the
-label formula in either cusp-indexing convention (it is invariant under
+A cusp, an involution w_r and a sign pattern are all sets of primes of N,
+held as the bit mask `SquarefreeLevel.divisor_index` gives (bit i <-> p_i).
+w_s sends the cusp of denominator r to the cusp of denominator
+s*r / gcd(s,r)^2, the symmetric difference of the two prime sets: on masks,
+r ^ s.  That holds in either cusp-indexing convention (it is invariant under
 r <-> N/r).
 """
 
@@ -13,14 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_qr
 from .cusps import CuspDivisor, SquarefreeLevel
 
 
-def _al_label(r: int, d: int) -> int:
-    """Label of w_r applied to the cusp labeled d: r*d / gcd(r, d)^2."""
-    g = math.gcd(r, d)
-    return r * d // (g * g)
+def _label(level: SquarefreeLevel, mask: int) -> int:
+    """The divisor of N whose primes are the bits of mask."""
+    return math.prod(p for i, p in enumerate(level.primes) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class ALElement:
     def __mul__(self, other: "ALElement") -> "ALElement":
         if self.level != other.level:
             raise ValueError("mismatched levels")
-        return ALElement(self.level, _al_label(self.r, other.r))
+        index = self.level.divisor_index
+        return ALElement(self.level, _label(self.level, index(self.r) ^ index(other.r)))
 
     def is_identity(self) -> bool:
         return self.r == 1
@@ -45,29 +46,40 @@ class ALElement:
 
 def al_act_on_cusp(w: ALElement, d: int) -> int:
     """Denominator label of w_r applied to the cusp of denominator d."""
-    if w.level.n % d != 0:
-        raise ValueError(f"{d} is not a divisor of {w.level.n}")
-    return _al_label(w.r, d)
+    index = w.level.divisor_index
+    return _label(w.level, index(w.r) ^ index(d))
 
 
 def al_act_on_divisor(w: ALElement, v: CuspDivisor) -> CuspDivisor:
     if w.level != v.level:
         raise ValueError("mismatched levels")
-    coeffs = [Fraction(0)] * len(v.coeffs)
-    for k, d in enumerate(v.level.divisors):
-        coeffs[v.level.divisor_index(al_act_on_cusp(w, d))] += v.coeffs[k]
-    return CuspDivisor(v.level, tuple(coeffs))
+    mask = w.level.divisor_index(w.r)
+    return CuspDivisor(v.level, tuple(v.coeffs[k ^ mask] for k in range(len(v.coeffs))))
+
+
+def _nonresidues(level: SquarefreeLevel) -> list[int]:
+    """Entry i: the mask of the primes q != p_i of N modulo which -p_i is not
+    a square, by Euler's criterion.  At q = 2 the exponent q >> 1 is 1 and
+    -p_i is odd, so 2 is never in a mask."""
+    return [sum(1 << j for j, q in enumerate(level.primes) if j != i and pow(-p, q >> 1, q) != 1)
+            for i, p in enumerate(level.primes)]
+
+
+def _fixes_a_point(nonresidues: list[int], mask: int) -> bool:
+    """Whether w_r, r the mask, fixes a point: no p in r has a nonresidue
+    prime outside r."""
+    return all(not bad & ~mask for i, bad in enumerate(nonresidues) if mask >> i & 1)
 
 
 def al_fixed_point_exists(w: ALElement) -> bool:
     """Whether w_r fixes a point of X0(N).
 
-    Criterion: for every prime p | r, -p must be a square modulo N/r.
-    For r = N the condition is vacuous and the answer is True (w_N is the
-    Fricke involution, which always has fixed points).
+    Criterion: for every prime p | r, -p must be a square modulo N/r, that
+    is modulo each prime of N outside r.  For r = N the condition is vacuous
+    and the answer is True (w_N is the Fricke involution, which always has
+    fixed points).
     """
-    m = w.level.n // w.r
-    return all(is_qr(-p, m) for p in w.level.primes if w.r % p == 0)
+    return _fixes_a_point(_nonresidues(w.level), w.level.divisor_index(w.r))
 
 
 @dataclass(frozen=True)
@@ -85,18 +97,10 @@ class SignAssignment:
         return self.signs[self.level.primes.index(p)]
 
     def product(self) -> int:
-        out = 1
-        for s in self.signs:
-            out *= s
-        return out
+        return math.prod(self.signs)
 
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.level.primes, self.signs))
-
-
-def _sign_product(signs: tuple[int, ...], k: int) -> int:
-    """Product of the signs at the primes in bit mask k."""
-    return math.prod(s for i, s in enumerate(signs) if k >> i & 1)
 
 
 def admissible_sign_assignments(
@@ -104,49 +108,41 @@ def admissible_sign_assignments(
 ) -> tuple[SignAssignment, ...]:
     """Sign patterns not already excluded by fixed points or parity.
 
-    Baseline constraints: the product over all primes is -1; whenever w_p
-    has a fixed point on X0(N) the sign at p must be -1; and when N = 2*odd
-    the sign at 2 must be +1.  With composite_rule=True the fixed-point
-    constraint is also imposed for every composite w_r (product of the
-    chosen signs over p | r equal to -1), which can cut the list further.
+    Each constraint is a parity rule on the mask m of the primes with sign
+    -1: the count of primes of r in m is odd (the signs over p | r multiply
+    to -1) or even.  Baseline rules: odd at r = N, the rule of the Fricke
+    involution, which always has a fixed point; odd at each p whose w_p has
+    a fixed point on X0(N); and even at 2 when N = 2*odd.  With
+    composite_rule=True every composite r whose w_r has a fixed point adds
+    an odd rule too, which can cut the list further.  The output is in the
+    order of itertools.product((1, -1), repeat=t); levels with more than 13
+    primes are refused, since the list grows like 2^t.
     """
     t = level.t
-    forced = {}
-    for i, p in enumerate(level.primes):
-        if al_fixed_point_exists(ALElement(level, p)):
-            forced[i] = -1
+    if t > 13:
+        raise ValueError("sign assignments are limited to levels with at most 13 primes")
+    full = (1 << t) - 1
+    nonresidues = _nonresidues(level)
+    candidates = range(1, full) if composite_rule else (1 << i for i in range(t))
+    rules = [(full, 1)] + [(r, 1) for r in candidates if _fixes_a_point(nonresidues, r)]
     if level.n % 2 == 0:
-        i2 = level.primes.index(2)
-        if i2 in forced and forced[i2] == -1:
-            return ()  # contradictory requirements; nothing is admissible
-        forced[i2] = 1
-    # bit masks of the composite r whose w_r has a fixed point
-    fixed = []
-    if composite_rule:
-        for k, r in enumerate(level.divisors):
-            if k & (k - 1) and al_fixed_point_exists(ALElement(level, r)):
-                fixed.append(k)
-    out = []
-    for signs in itertools.product((1, -1), repeat=t):
-        if math.prod(signs) != -1:
-            continue
-        if any(signs[i] != s for i, s in forced.items()):
-            continue
-        if any(_sign_product(signs, k) != -1 for k in fixed):
-            continue
-        out.append(SignAssignment(level, signs))
-    return tuple(out)
+        rules.append((1, 0))
+    masks = [0]
+    for i in reversed(range(t)):  # the minus-sign masks, in product order
+        masks += [m | 1 << i for m in masks]
+    signs = itertools.product((1, -1), repeat=t)
+    return tuple(SignAssignment(level, s) for s, m in zip(signs, masks)
+                 if all((m & r).bit_count() & 1 == odd for r, odd in rules))
 
 
 def sign_divisor(
     level: SquarefreeLevel, signs: dict[int, int], base: int = 1
 ) -> CuspDivisor:
-    """Expand prod_u (1 - eps_u * w_u) applied to the cusp labeled `base`.
+    """Apply prod_u (1 - eps_u * w_u) to the cusp labeled `base`.
 
-    `signs` maps pairwise-coprime divisors u>1 of N to eps_u in {+1,-1};
-    each factor contributes 1 and -eps_u*w_u, so a subset S of the labels
-    contributes (-1)^|S| * prod_{u in S} eps_u at the cusp (prod S)*base
-    (labels act multiplicatively on coprime parts).
+    `signs` maps pairwise-coprime divisors u>1 of N to eps_u in {+1,-1}.
+    Each factor takes the integer vector v to v - eps_u * w_u v, where
+    (w_u v)[k] = v[k ^ mask(u)]; the factors commute.
     """
     n = level.n
     labels = sorted(signs)
@@ -155,18 +151,14 @@ def sign_divisor(
             raise ValueError(f"{u} is not a divisor > 1 of {n}")
         if signs[u] not in (1, -1):
             raise ValueError("signs must be +1 or -1")
-    for a, b in itertools.combinations(labels, 2):
-        if math.gcd(a, b) != 1:
-            raise ValueError("divisor labels must be pairwise coprime")
+    masks = [level.divisor_index(u) for u in labels]
+    if any(a & b for a, b in itertools.combinations(masks, 2)):
+        raise ValueError("divisor labels must be pairwise coprime")
     if n % base != 0:
         raise ValueError(f"{base} is not a divisor of {n}")
-    coeffs = [0 for _ in level.divisors]
-    for size in range(len(labels) + 1):
-        for subset in itertools.combinations(labels, size):
-            weight = (-1) ** size
-            cusp = base
-            for u in subset:
-                weight *= signs[u]
-                cusp = _al_label(u, cusp)
-            coeffs[level.divisor_index(cusp)] += weight
-    return CuspDivisor(level, tuple(Fraction(c) for c in coeffs))
+    coeffs = [0] * (1 << level.t)
+    coeffs[level.divisor_index(base)] = 1
+    for u, mask in zip(labels, masks):
+        eps = signs[u]
+        coeffs = [c - eps * coeffs[k ^ mask] for k, c in enumerate(coeffs)]
+    return CuspDivisor(level, tuple(map(Fraction, coeffs)))

@@ -279,13 +279,13 @@ def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:
     """Pushforward of a cusp divisor at even N to level N/2.
 
     Each P_r maps to the cusp labeled by the odd part of r, with
-    multiplicity one; rejects odd levels.
+    multiplicity one: 2 is p_0, so index k goes to k >> 1.  Rejects odd
+    levels.
     """
     if w.level.n % 2 != 0:
         raise ValueError("2-old projection needs an even level")
     target = SquarefreeLevel.of(w.level.n // 2)
     coeffs = [Fraction(0)] * (1 << target.t)
-    for d, c in zip(w.level.divisors, w.coeffs):
-        odd = d // 2 if d % 2 == 0 else d
-        coeffs[target.divisor_index(odd)] += c
+    for k, c in enumerate(w.coeffs):
+        coeffs[k >> 1] += c
     return CuspDivisor(target, tuple(coeffs))

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import atkin_lehner_oracle as oracle
+from cuspgate.arith import factor
 from cuspgate.atkin_lehner import (
     ALElement,
     admissible_sign_assignments,
@@ -175,3 +177,47 @@ def test_ogg_matches_sign_divisor_small():
                 continue
             eps = {p: -s for p, s in zip(L.primes, b)}
             assert divisor_order(sign_divisor(L, eps)) == ogg_order(L, b)
+
+
+# every square-free N < 3000 (one to five primes), and 6- to 8-prime anchors
+ORACLE_LEVELS = [n for n in range(2, 3000) if factor(n).is_squarefree()] + [30030, 510510, 570570, 9699690]
+
+
+def test_masks_match_label_oracles():
+    """The XOR action and composition, Euler's criterion and the parity
+    rules against the gcd labels, `is_qr` and the forced-sign filter at
+    every level; below 3000, every sign divisor over the primes against the
+    subset expansion."""
+    for n in ORACLE_LEVELS:
+        level = SquarefreeLevel.of(n)
+        for r in level.divisors:
+            w = ALElement(level, r)
+            assert al_fixed_point_exists(w) == oracle.fixed_point_exists(level, r), (n, r)
+            labels = [oracle.al_label(r, d) for d in level.divisors]
+            assert [al_act_on_cusp(w, d) for d in level.divisors] == labels
+            assert [(w * ALElement(level, d)).r for d in level.divisors] == labels
+        for rule in (False, True):
+            got = tuple(a.signs for a in admissible_sign_assignments(level, composite_rule=rule))
+            assert got == oracle.admissible_signs(level, rule), (n, rule)
+        if n < 3000:
+            for signs in itertools.product((1, -1), repeat=level.t):
+                eps = dict(zip(level.primes, signs))
+                want = tuple(map(Fraction, oracle.sign_divisor_coeffs(level, eps)))
+                assert sign_divisor(level, eps).coeffs == want, (n, signs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sign_divisor_matches_subset_expansion(data):
+    """Coprime labels, composite ones among them, rebased at a cusp other
+    than P_1: the XOR factors against the label expansion."""
+    level = SquarefreeLevel.of(data.draw(st.sampled_from([6, 30, 210, 1155, 2310, 30030])))
+    groups = data.draw(st.lists(st.integers(0, 3), min_size=level.t, max_size=level.t))
+    labels = {}
+    for p, g in zip(level.primes, groups):
+        if g:
+            labels[g] = labels.get(g, 1) * p
+    signs = {u: data.draw(st.sampled_from((1, -1))) for u in labels.values()}
+    base = data.draw(st.sampled_from(level.divisors[1:]))
+    want = tuple(map(Fraction, oracle.sign_divisor_coeffs(level, signs, base)))
+    assert sign_divisor(level, signs, base).coeffs == want

@@ -106,6 +106,24 @@ def test_al_signs(capsys):
     assert empty["result"]["count"] == 0
 
 
+def test_al_signs_within_budget(capsys):
+    """The declared domain ends at 13 primes: the first 13 primes answer
+    with the composite rule well inside two seconds; the first 14, and the
+    first 25, which factor through the gcd screen alone, exit 1 at once."""
+    start = time.perf_counter()
+    doc = run_json(capsys, "al-signs", "--level", "304250263527210", "--composite-rule")
+    assert doc["result"]["count"] == 2048
+    assert time.perf_counter() - start < 2
+    first_25 = 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
+        first_25 *= p
+    for level in (13082761331670030, first_25):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "al-signs", "--level", str(level))
+        assert code == 1 and out == "" and "at most 13 primes" in err
+        assert time.perf_counter() - start < 1
+
+
 def test_gate_dispatch(capsys):
     sf = run_json(capsys, "gate", "--level", "14")
     assert sf["result"]["gate"] == "squarefree"
