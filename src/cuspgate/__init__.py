@@ -13,13 +13,11 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "arith": ("Factorization", "factor", "is_prime", "is_qr", "is_square", "num", "valuation"),
+    "arith": ("Factorization", "factor", "is_prime", "is_square", "num", "valuation"),
     "atkin_lehner": (
         "ALElement",
         "SignAssignment",
         "admissible_sign_assignments",
-        "al_act_on_cusp",
-        "al_act_on_divisor",
         "al_fixed_point_exists",
         "sign_divisor",
     ),
@@ -45,19 +43,12 @@ _EXPORTS = {
         "WeierstrassModel",
         "apply_transform",
         "b_invariants",
-        "double_x",
         "group_law_add",
-        "negate",
-        "on_curve",
-        "scalar_mul",
-        "transform_point",
         "two_torsion_structure",
     ),
     "eta": (
-        "EtaExponents",
         "LigozatVerdict",
         "divisor_of_eta_quotient",
-        "eta_order_at_cusp",
         "ligozat_check",
     ),
     "gates": (

@@ -1,11 +1,11 @@
 """Exact integer/rational primitives shared by every other module.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator), re-exported as ``Rat``.  `is_prime` screens n against the
-primes up to 97 with one gcd, then runs deterministic Miller-Rabin on as
-few of the first thirteen prime bases as n's size needs: the first k prime
-bases are a proven witness set below the published bound psi_k, so a prime
-below 2.5e7 takes at most three bases, and thirteen reach ~3.3e24.
+denominator).  `is_prime` screens n against the primes up to 97 with one
+gcd, then runs deterministic Miller-Rabin on as few of the first thirteen
+prime bases as n's size needs: the first k prime bases are a proven
+witness set below the published bound psi_k, so a prime below 2.5e7 takes
+at most three bases, and thirteen reach ~3.3e24.
 `factor` adds trial division, a perfect-square peel and Pollard rho.  A
 scan that factors every number of a range builds a `PrimeSieve` over it
 instead: a table of smallest prime factors, filled by Eratosthenes' sieve,
@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Rat = Fraction
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -273,32 +271,3 @@ class PrimeSieve:
                 e += 1
             pairs.append((p, e))
         return tuple(pairs)
-
-
-def is_qr(a: int, m: int) -> bool:
-    """Whether x*x = a (mod m) is solvable (any modulus m >= 1, via CRT)."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if m == 1:
-        return True
-    a %= m
-    for p, k in factor(m).pairs:
-        pk = p**k
-        r = a % pk
-        if r == 0:
-            continue
-        v = valuation(r, p)
-        if v % 2 == 1:
-            return False
-        u = r // p**v
-        if p == 2:
-            w = k - v
-            if w == 1:
-                continue
-            if w == 2 and u % 4 != 1:
-                return False
-            if w >= 3 and u % 8 != 1:
-                return False
-        elif pow(u, (p - 1) // 2, p) != 1:
-            return False
-    return True

@@ -1,11 +1,13 @@
-"""Atkin-Lehner involutions acting on the cusps of X0(N), square-free N.
+"""Atkin-Lehner involutions on X0(N), square-free N: which w_r fix a
+point, which sign patterns survive, and the sign divisors (1 - eps_u w_u)P_1.
 
 A cusp, an involution w_r and a sign pattern are all sets of primes of N,
 held as the bit mask `SquarefreeLevel.divisor_index` gives (bit i <-> p_i).
 w_s sends the cusp of denominator r to the cusp of denominator
 s*r / gcd(s,r)^2, the symmetric difference of the two prime sets: on masks,
 r ^ s.  That holds in either cusp-indexing convention (it is invariant under
-r <-> N/r).
+r <-> N/r).  `sign_divisor` is where that action runs, as a permutation of
+a divisor's coefficients.
 """
 
 from __future__ import annotations
@@ -18,11 +20,6 @@ from fractions import Fraction
 from .cusps import CuspDivisor, SquarefreeLevel
 
 
-def _label(level: SquarefreeLevel, mask: int) -> int:
-    """The divisor of N whose primes are the bits of mask."""
-    return math.prod(p for i, p in enumerate(level.primes) if mask >> i & 1)
-
-
 @dataclass(frozen=True)
 class ALElement:
     """w_r on X0(N); r runs over divisors of square-free N, r=1 is the identity."""
@@ -33,28 +30,6 @@ class ALElement:
     def __post_init__(self) -> None:
         if self.r < 1 or self.level.n % self.r != 0:
             raise ValueError(f"w_{self.r} is not an involution on level {self.level.n}")
-
-    def __mul__(self, other: "ALElement") -> "ALElement":
-        if self.level != other.level:
-            raise ValueError("mismatched levels")
-        index = self.level.divisor_index
-        return ALElement(self.level, _label(self.level, index(self.r) ^ index(other.r)))
-
-    def is_identity(self) -> bool:
-        return self.r == 1
-
-
-def al_act_on_cusp(w: ALElement, d: int) -> int:
-    """Denominator label of w_r applied to the cusp of denominator d."""
-    index = w.level.divisor_index
-    return _label(w.level, index(w.r) ^ index(d))
-
-
-def al_act_on_divisor(w: ALElement, v: CuspDivisor) -> CuspDivisor:
-    if w.level != v.level:
-        raise ValueError("mismatched levels")
-    mask = w.level.divisor_index(w.r)
-    return CuspDivisor(v.level, tuple(v.coeffs[k ^ mask] for k in range(len(v.coeffs))))
 
 
 def _nonresidues(level: SquarefreeLevel) -> list[int]:
@@ -98,9 +73,6 @@ class SignAssignment:
 
     def product(self) -> int:
         return math.prod(self.signs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(zip(self.level.primes, self.signs))
 
 
 def admissible_sign_assignments(

@@ -113,7 +113,7 @@ def _cmd_cusp_order(args) -> dict:
             raise ValueError("--project-2-old needs an explicit --divisor")
         signs = _parse_signs(args.signs, level)
         return {"order": ogg_order(level, signs)}
-    coeffs = _parse_fractions(args.divisor, len(level.divisors), "--divisor")
+    coeffs = _parse_fractions(args.divisor, 1 << level.t, "--divisor")
     w = CuspDivisor(level, coeffs)
     if args.project_2_old:
         w = apply_2_old_projection(w)
@@ -138,21 +138,21 @@ def _cmd_cusp_group(args) -> dict:
 
 
 def _cmd_eta_check(args) -> dict:
-    from .cusps import SquarefreeLevel
-    from .eta import EtaExponents, ligozat_check
+    from .cusps import EtaVector, SquarefreeLevel
+    from .eta import ligozat_check
 
     level = SquarefreeLevel.of(args.level)
-    r = EtaExponents(level, _parse_fractions(args.exponents, len(level.divisors), "--exponents"))
+    r = EtaVector(level, _parse_fractions(args.exponents, 1 << level.t, "--exponents"))
     verdict = ligozat_check(r)
     return {"failed_conditions": list(verdict.failed), "ok": verdict.ok}
 
 
 def _cmd_eta_divisor(args) -> dict:
-    from .cusps import SquarefreeLevel
-    from .eta import EtaExponents, divisor_of_eta_quotient
+    from .cusps import EtaVector, SquarefreeLevel
+    from .eta import divisor_of_eta_quotient
 
     level = SquarefreeLevel.of(args.level)
-    r = EtaExponents(level, _parse_fractions(args.exponents, len(level.divisors), "--exponents"))
+    r = EtaVector(level, _parse_fractions(args.exponents, 1 << level.t, "--exponents"))
     return {"coefficients": _divisor_pairs(divisor_of_eta_quotient(r))}
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 
 Coeff = int | Fraction
@@ -46,7 +47,11 @@ class WeierstrassModel:
     b8 = property(lambda self: _b_invariants(self.coefficients())[3])
     c4 = property(lambda self: _c_invariants(_b_invariants(self.coefficients()))[0])
     c6 = property(lambda self: _c_invariants(_b_invariants(self.coefficients()))[1])
-    disc = property(lambda self: _discriminant(_b_invariants(self.coefficients())))
+
+    @cached_property
+    def disc(self) -> Coeff:
+        # computed once: __post_init__ rejects a zero, and the conductor factors it
+        return _discriminant(_b_invariants(self.coefficients()))
 
     def j_invariant(self) -> Fraction:
         return Fraction(self.c4 ** 3, self.disc)
@@ -181,16 +186,6 @@ def _shifted(a: tuple, r: Coeff, s: Coeff, t: Coeff) -> tuple:
     )
 
 
-def transform_point(pt, t: Transform):
-    """Map a point on E to the corresponding point of apply_transform(E, t)."""
-    if pt is INFINITY:
-        return INFINITY
-    u, r, s, tt = (Fraction(v) for v in (t.u, t.r, t.s, t.t))
-    x = (Fraction(pt.x) - r) / u ** 2
-    y = (Fraction(pt.y) - s * u * u * x - tt) / u ** 3
-    return Point(x, y)
-
-
 # -- points and the chord-tangent law ---------------------------------------
 
 
@@ -214,20 +209,6 @@ class Point:
         object.__setattr__(self, "y", _norm(Fraction(self.y)))
 
 
-def on_curve(e: WeierstrassModel, pt) -> bool:
-    if pt is INFINITY:
-        return True
-    x, y = Fraction(pt.x), Fraction(pt.y)
-    a1, a2, a3, a4, a6 = e.coefficients()
-    return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
-
-
-def negate(e: WeierstrassModel, pt):
-    if pt is INFINITY:
-        return INFINITY
-    return Point(pt.x, -pt.y - e.a1 * pt.x - e.a3)
-
-
 def group_law_add(e: WeierstrassModel, p, q):
     """Chord-tangent addition on the full a1..a6 model."""
     if p is INFINITY:
@@ -249,30 +230,6 @@ def group_law_add(e: WeierstrassModel, p, q):
     x3 = lam * lam + a1 * lam - a2 - x1 - x2
     y3 = -(lam + a1) * x3 - nu - a3
     return Point(x3, y3)
-
-
-def scalar_mul(e: WeierstrassModel, n: int, pt):
-    if n < 0:
-        return scalar_mul(e, -n, negate(e, pt))
-    acc = INFINITY
-    add = pt
-    while n:
-        if n & 1:
-            acc = group_law_add(e, acc, add)
-        add = group_law_add(e, add, add)
-        n >>= 1
-    return acc
-
-
-def double_x(e: WeierstrassModel, x: Coeff) -> Fraction:
-    """x-coordinate of 2P in terms of x(P), via the division-polynomial ratio."""
-    x = Fraction(x)
-    b2, b4, b6, b8 = _b_invariants(e.coefficients())
-    den = 4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6
-    if den == 0:
-        raise ValueError("x is the abscissa of a 2-torsion point; 2P is the origin")
-    num = x ** 4 - b4 * x * x - 2 * b6 * x - b8
-    return num / den
 
 
 # -- rational 2-torsion ------------------------------------------------------

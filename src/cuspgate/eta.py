@@ -1,38 +1,25 @@
 """Eta-quotient divisors at cusps and the five-condition modularity test.
 
-`eta_order_at_cusp` implements the classical vanishing-order formula for
-eta(M*tau) on X0(N) at the cusp of denominator d, for arbitrary N.  On
-square-free levels those orders assemble to `cusps.lambda_forward` (same
-convention, no relabeling), which the test suite pins down, so
-`divisor_of_eta_quotient` is that tensor map.  `ligozat_check` tests the
-exponents' integer numerators c over their lcm L: (1) is L = 1, and
-sum r_d x_d is in 24Z, in (2) and (3), iff sum c_d x_d is in 24 L Z.
+On a square-free level the classical vanishing orders of eta(M*tau) on
+X0(N) at the cusp of denominator d assemble to `cusps.lambda_forward` (same
+convention, no relabeling); the test suite pins that down against the
+order formula in `tests/cusps_oracle.py`, so `divisor_of_eta_quotient` is
+that tensor map.  `ligozat_check` tests the exponents' integer numerators
+c over their lcm L: (1) is L = 1, and sum r_d x_d is in 24Z, in (2) and
+(3), iff sum c_d x_d is in 24 L Z.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cusps import CuspDivisor, EtaVector, _numerators, lambda_forward
 
-# An exponent family is an EtaVector: rational exponents indexed by divisors.
-EtaExponents = EtaVector
 
-
-def eta_order_at_cusp(n: int, m: int, d: int) -> Fraction:
-    """Vanishing order of eta(m*tau) on X0(n) at the cusp of denominator d."""
-    if n < 1 or n % m != 0 or n % d != 0:
-        raise ValueError("need m | n and d | n")
-    g = math.gcd(d, m)
-    return Fraction(n * g * g, 24 * d * math.gcd(d, n // d) * m)
-
-
-def divisor_of_eta_quotient(r: EtaExponents) -> CuspDivisor:
+def divisor_of_eta_quotient(r: EtaVector) -> CuspDivisor:
     """Divisor of prod_M eta(M*tau)^(r_M), supported on the cusps.
 
-    On a square-free level the orders `eta_order_at_cusp(n, m, d)` form the
+    On a square-free level the vanishing orders of the eta(M*tau) form the
     matrix of `lambda_forward`, so the divisor is that tensor map applied
     to r.
     """
@@ -45,7 +32,7 @@ class LigozatVerdict:
     failed: tuple[int, ...]  # indices in 1..5 of the violated conditions
 
 
-def ligozat_check(r: EtaExponents) -> LigozatVerdict:
+def ligozat_check(r: EtaVector) -> LigozatVerdict:
     """Whether the exponent family defines a modular function on X0(N).
 
     Conditions: (1) integer exponents; (2) sum r_d * d = 0 mod 24;

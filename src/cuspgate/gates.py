@@ -9,8 +9,9 @@ oddness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .arith import Rat, factor, is_prime, num
+from .arith import factor, is_prime, num
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,9 @@ def gate_pq_refined(p: int, q: int) -> GateVerdict:
         raise ValueError("p and q must be distinct odd primes")
     if p * q <= 21:
         raise ValueError("the refined gate applies to pq > 21")
-    o_mm = num(Rat((p - 1) * (q - 1), 24))
-    o_pm = num(Rat((p + 1) * (q - 1), 24))
-    o_mp = num(Rat((p - 1) * (q + 1), 24))
+    o_mm = num(Fraction((p - 1) * (q - 1), 24))
+    o_pm = num(Fraction((p + 1) * (q - 1), 24))
+    o_mp = num(Fraction((p - 1) * (q + 1), 24))
     all_odd = o_mm % 2 == 1 and o_pm % 2 == 1 and o_mp % 2 == 1
     ok = p % 8 == 3 and q % 8 == 3
     if ok != all_odd:

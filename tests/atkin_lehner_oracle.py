@@ -2,8 +2,8 @@
 oracles.
 
 `atkin_lehner` used to work on divisor labels: w_s sent the cusp labeled r
-to s*r / gcd(s, r)^2, the fixed-point test asked `arith.is_qr` (which
-factors N/r) whether -p is a square modulo N/r for each p | r, the
+to s*r / gcd(s, r)^2, the fixed-point test asked `is_qr` (which factors
+N/r) whether -p is a square modulo N/r for each p | r, the
 admissible sign patterns were filtered by a dict of forced signs and a
 product of signs per composite r, and `sign_divisor` expanded
 prod_u (1 - eps_u w_u) over every subset of the labels.  The library now
@@ -16,8 +16,37 @@ from __future__ import annotations
 import itertools
 import math
 
-from cuspgate.arith import is_qr
+from cuspgate.arith import factor, valuation
 from cuspgate.cusps import SquarefreeLevel
+
+
+def is_qr(a: int, m: int) -> bool:
+    """Whether x*x = a (mod m) is solvable (any modulus m >= 1, via CRT)."""
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    if m == 1:
+        return True
+    a %= m
+    for p, k in factor(m).pairs:
+        pk = p**k
+        r = a % pk
+        if r == 0:
+            continue
+        v = valuation(r, p)
+        if v % 2 == 1:
+            return False
+        u = r // p**v
+        if p == 2:
+            w = k - v
+            if w == 1:
+                continue
+            if w == 2 and u % 4 != 1:
+                return False
+            if w >= 3 and u % 8 != 1:
+                return False
+        elif pow(u, (p - 1) // 2, p) != 1:
+            return False
+    return True
 
 
 def al_label(r: int, d: int) -> int:

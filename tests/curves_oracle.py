@@ -1,4 +1,5 @@
-"""Rational-only forms of two `curves` operations, kept as test oracles.
+"""Rational-only forms of two `curves` operations, and the point
+arithmetic built on the group law, kept as test oracles.
 
 `apply_transform` used to lift every coefficient and every entry of
 (u, r, s, t) to a Fraction and divide by u^k even when u = 1, and
@@ -6,6 +7,12 @@
 evaluated each candidate p/q by Horner's rule over Fraction.  The library
 now stays in int where it can and finds the cubic's roots by bisection
 without factoring; the suite compares it with these forms.
+
+The library's one point operation is `group_law_add`.  `negate`,
+`scalar_mul`, `on_curve` and `transform_point` are what the suite checks it
+with (inverses, homomorphism, associativity, coordinate changes), and
+`double_x` is the duplication formula from the division polynomials, a
+second route to x(2P).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cuspgate.arith import factor
-from cuspgate.curves import Transform, WeierstrassModel
+from cuspgate.curves import INFINITY, Point, Transform, WeierstrassModel, b_invariants, group_law_add
 
 
 def apply_transform(e: WeierstrassModel, t: Transform) -> WeierstrassModel:
@@ -50,3 +57,51 @@ def rational_cubic_roots(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
                 if acc == 0:
                     roots.append(cand)
     return sorted(roots)
+
+
+def on_curve(e: WeierstrassModel, pt) -> bool:
+    if pt is INFINITY:
+        return True
+    x, y = Fraction(pt.x), Fraction(pt.y)
+    a1, a2, a3, a4, a6 = e.coefficients()
+    return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
+
+
+def negate(e: WeierstrassModel, pt):
+    if pt is INFINITY:
+        return INFINITY
+    return Point(pt.x, -pt.y - e.a1 * pt.x - e.a3)
+
+
+def scalar_mul(e: WeierstrassModel, n: int, pt):
+    if n < 0:
+        return scalar_mul(e, -n, negate(e, pt))
+    acc = INFINITY
+    add = pt
+    while n:
+        if n & 1:
+            acc = group_law_add(e, acc, add)
+        add = group_law_add(e, add, add)
+        n >>= 1
+    return acc
+
+
+def transform_point(pt, t: Transform):
+    """Map a point on E to the corresponding point of apply_transform(E, t)."""
+    if pt is INFINITY:
+        return INFINITY
+    u, r, s, tt = (Fraction(v) for v in (t.u, t.r, t.s, t.t))
+    x = (Fraction(pt.x) - r) / u ** 2
+    y = (Fraction(pt.y) - s * u * u * x - tt) / u ** 3
+    return Point(x, y)
+
+
+def double_x(e: WeierstrassModel, x) -> Fraction:
+    """x-coordinate of 2P in terms of x(P), via the division-polynomial ratio."""
+    x = Fraction(x)
+    b = b_invariants(e)
+    den = 4 * x ** 3 + b.b2 * x * x + 2 * b.b4 * x + b.b6
+    if den == 0:
+        raise ValueError("x is the abscissa of a 2-torsion point; 2P is the origin")
+    num = x ** 4 - b.b4 * x * x - 2 * b.b6 * x - b.b8
+    return num / den

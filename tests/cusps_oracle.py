@@ -14,7 +14,9 @@ of the two candidates n0 and 2*n0.  The library now reads both off one
 integer residue vector mod D; the suite compares it with these forms.
 `congruence_rows` builds the group's generic congruence rows entry by entry
 from K = tensor_i [[p,-1],[-1,p]]; the library's closed-form rows are these
-in other coordinates.
+in other coordinates.  `eta_order_at_cusp` is the classical vanishing
+order of eta(m*tau) on X0(n) at the cusp of denominator d, for any n; on a
+square-free level those orders are the matrix of `lambda_forward`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from fractions import Fraction
 
 from cuspgate.cusps import CuspDivisor, EtaVector, SquarefreeLevel
 from cuspgate.eta import LigozatVerdict
+
+
+def eta_order_at_cusp(n: int, m: int, d: int) -> Fraction:
+    """Vanishing order of eta(m*tau) on X0(n) at the cusp of denominator d."""
+    if n < 1 or n % m != 0 or n % d != 0:
+        raise ValueError("need m | n and d | n")
+    g = math.gcd(d, m)
+    return Fraction(n * g * g, 24 * d * math.gcd(d, n // d) * m)
 
 
 def _apply_slot(coeffs: list, i: int, m00, m01, m10, m11) -> None:

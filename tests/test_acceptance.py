@@ -28,12 +28,13 @@ from cuspgate.cusps import (
     lambda_inverse,
     ogg_order,
 )
-from cuspgate.curves import INFINITY, Point, WeierstrassModel, double_x, group_law_add
+from cuspgate.curves import INFINITY, Point, WeierstrassModel, group_law_add
 from cuspgate.eta import divisor_of_eta_quotient, ligozat_check
 from cuspgate.gates import KNOWN_ODD_NONSEMISTABLE, gate_nonsemistable, gate_squarefree
 from cuspgate.searches import search_2p_family, search_neumann_setzer, verify_z2z4_classification
 from cuspgate.tate import conductor, tate_algorithm
 import cusps_oracle
+from curves_oracle import double_x
 from lattice_oracle import group_structure
 
 

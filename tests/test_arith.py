@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from atkin_lehner_oracle import is_qr
 from searches_oracle import _odd_prime_power
 
 from cuspgate import arith
@@ -12,7 +13,6 @@ from cuspgate.arith import (
     PrimeSieve,
     factor,
     is_prime,
-    is_qr,
     is_square,
     num,
     valuation,

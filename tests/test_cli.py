@@ -8,6 +8,7 @@ import pytest
 
 from cuspgate.cli import main
 from cuspgate.curves import WeierstrassModel
+from cuspgate.cusps import SquarefreeLevel
 from cuspgate.tate import conductor
 
 
@@ -376,3 +377,30 @@ def test_huge_decimal_exponents_are_refused_before_parsing(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: cannot parse") and "exceeds 4300" in err
+
+
+# the product of the 25 primes up to 97: it factors at once, and has 2^25 divisors
+FIRST_25_PRIMES = 2305567963945518424753102147331756070
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eta-check", "--exponents", "1,-1"],
+        ["eta-divisor", "--exponents", "1,-1"],
+        ["cusp-order", "--divisor", "1,-1"],
+    ],
+)
+def test_vector_length_is_checked_without_the_divisors(capsys, monkeypatch, argv):
+    """A vector of the wrong length is refused from the prime count alone;
+    building the 2^25 divisors to count them would take gigabytes."""
+
+    def no_divisors(level):
+        raise AssertionError(f"built the divisors of {level.n}")
+
+    monkeypatch.setattr(SquarefreeLevel, "divisors", property(no_divisors))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--level", str(FIRST_25_PRIMES), *argv[1:])
+    assert code == 1 and out == ""
+    assert "needs 33554432 comma-separated entries, got 2" in err
+    assert time.perf_counter() - start < 1

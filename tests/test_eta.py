@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cusps_oracle import eta_order_at_cusp
 from cuspgate.cusps import EtaVector, SquarefreeLevel, is_principal
-from cuspgate.eta import divisor_of_eta_quotient, eta_order_at_cusp, ligozat_check
+from cuspgate.eta import divisor_of_eta_quotient, ligozat_check
 
 
 def test_eta_order_frozen():

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspgate.arith import is_prime, is_qr
+from atkin_lehner_oracle import is_qr
+from cuspgate.arith import is_prime
 from cuspgate.gates import (
     KNOWN_ODD_NONSEMISTABLE,
     gate_nonsemistable,
