@@ -12,9 +12,35 @@ from cuspgate.atkin_lehner import (
     al_fixed_point_exists,
     sign_divisor,
 )
-from cuspgate.cusps import SquarefreeLevel, divisor_order, ogg_order
+from cuspgate.cusps import CuspDivisor, SquarefreeLevel, divisor_order, ogg_order
 
 LEVELS = [2, 6, 11, 14, 15, 30, 35, 66, 105, 210]
+
+
+def level_and_divisors(n):
+    L = SquarefreeLevel.of(n)
+    return [(L, r) for r in L.divisors]
+
+
+ALL_PAIRS = [pair for n in LEVELS for pair in level_and_divisors(n)]
+
+
+def act(level, r, d):
+    """w_r applied to the cusp labeled d, read off the sign divisor
+    (1 - w_r)P_d = P_d - P_{w_r d}: the XOR action inside `sign_divisor`."""
+    if r == 1:
+        return d
+    v = sign_divisor(level, {r: 1}, base=d)
+    (image,) = [e for e in level.divisors if v.coeff(e) == -1]
+    return image
+
+
+def act_on_divisor(level, r, v):
+    """w_r applied to v, by linearity: w_r P_d = P_d - (1 - w_r)P_d."""
+    moved = v
+    for d in level.divisors:
+        moved = moved - v.coeff(d) * sign_divisor(level, {r: 1}, base=d)
+    return moved
 
 
 def test_al_element_validation():
@@ -24,6 +50,39 @@ def test_al_element_validation():
         ALElement(L, 2)
     with pytest.raises(ValueError):
         ALElement(L, 0)
+
+
+def test_al_action_frozen():
+    L = SquarefreeLevel.of(15)
+    assert act(L, 15, 1) == 15
+    assert act(L, 15, 3) == 5
+    assert act(L, 3, 1) == 3
+    assert act(L, 3, 3) == 1
+    assert act(L, 3, 5) == 15
+    assert act(L, 3, 15) == 5
+
+
+@pytest.mark.parametrize("L,r", ALL_PAIRS)
+def test_al_is_an_involution_on_cusps(L, r):
+    for d in L.divisors:
+        assert act(L, r, act(L, r, d)) == d
+        assert act(L, r, d) == oracle.al_label(r, d)
+
+
+def test_al_composition():
+    L = SquarefreeLevel.of(30)
+    for a, b in itertools.product(L.divisors, repeat=2):
+        combined = oracle.al_label(a, b)  # w_a w_b = w_{ab/gcd(a,b)^2}
+        for d in L.divisors:
+            assert act(L, combined, d) == act(L, a, act(L, b, d))
+
+
+def test_al_on_divisor_is_permutation():
+    L = SquarefreeLevel.of(15)
+    v = CuspDivisor.from_map(L, {1: 2, 3: -1, 15: -1})
+    moved = act_on_divisor(L, 5, v)
+    assert moved.coeff(5) == 2 and moved.coeff(15) == -1 and moved.coeff(3) == -1
+    assert moved.degree() == v.degree()
 
 
 def test_fixed_points_frozen():
