@@ -1,13 +1,22 @@
 """Diophantine scans for the curve families attached to odd modular degree.
 
 Every scan is a plain enumeration over an integer range, and `_run_scan`
-runs all five.  With `jobs` > 1 it cuts the range into 16 equal-width
+runs all five.  With `jobs` > 1 it cuts the range into 4 equal-width
 pieces per process and submits the last piece first: in every family a
 value costs more the further along the range it lies (2p's k = k_max tries
 about as many m as all smaller k together), so the costly pieces start
 early and the cheap ones fill in behind them.  The pieces' hits are
 concatenated in range order, so the output is byte-identical to the
 single-process run.
+
+The process pool outlives the call.  The first parallel scan starts it,
+later scans with the same (CPU-clamped) job count reuse its workers, and a
+scan with another count shuts it down before starting one of the new size.
+It belongs to the process that started it: a process forked from that one
+starts its own pool and leaves the inherited one alone.  A pool whose
+worker died is dropped after its scan raises `BrokenProcessPool`, so the
+next scan starts afresh, and an `atexit` hook shuts the pool down while the
+interpreter is still whole.
 
 The 8p scan enumerates square roots: for each case it walks the odd m with
 p = m^2 - shift in its range and tests only those p for primality, then
@@ -24,6 +33,7 @@ hit keeps to two, so a c with three or more primes is skipped.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 from dataclasses import dataclass
@@ -56,8 +66,9 @@ def _twist(m: int) -> int:
     return m if m % 4 == 1 else -m
 
 
-# enough pieces per process that the last ones to finish are short
-_PIECES_PER_JOB = 16
+# enough pieces per process that the last ones to finish are short, and few
+# enough that each one's work outweighs its round trip through the pool
+_PIECES_PER_JOB = 4
 
 
 def _chunks(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
@@ -65,6 +76,40 @@ def _chunks(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
     n = min(pieces, hi - lo)
     cuts = [lo + i * (hi - lo) // n for i in range(n + 1)] if n > 0 else []
     return list(zip(cuts, cuts[1:]))
+
+
+# this process's pool as ((pid, jobs), executor), or None before the first
+# parallel scan; no lock guards it, as the library's callers scan from one
+# thread
+_POOL = None
+
+
+def _pool(jobs: int):
+    """The pool of `jobs` workers that this process keeps, started on first use."""
+    global _POOL
+    key = (os.getpid(), jobs)
+    if _POOL is None or _POOL[0] != key:
+        # the old pool's threads must be gone before new workers fork
+        _retire_pool()
+        # imported here so that only a parallel run pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _POOL = (key, ProcessPoolExecutor(max_workers=jobs))
+    return _POOL[1]
+
+
+def _retire_pool() -> None:
+    """Shut this process's pool down and forget it.  A pool inherited across
+    fork belongs to the parent, so it is only forgotten."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None and pool[0][0] == os.getpid():
+        pool[1].shutdown()
+
+
+# before module teardown: an executor collected after `multiprocessing` is
+# torn down makes its weakref callback fail on stderr
+atexit.register(_retire_pool)
 
 
 def _run_scan(worker, lo: int, hi: int, jobs: int, *args) -> list[SearchHit]:
@@ -75,14 +120,22 @@ def _run_scan(worker, lo: int, hi: int, jobs: int, *args) -> list[SearchHit]:
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return worker(lo, hi, *args)
-    # imported here so that only a parallel run pays for multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    pool = _pool(jobs)
     pieces = _chunks(lo, hi, jobs * _PIECES_PER_JOB)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    futures = []
+    try:
         # the last piece costs the most, so it goes first
         futures = [pool.submit(worker, a, b, *args) for a, b in reversed(pieces)]
         return [h for fut in reversed(futures) for h in fut.result()]
+    except BrokenProcessPool:
+        _retire_pool()
+        raise
+    finally:
+        # after a piece fails, the pieces not yet started are not wanted
+        for fut in futures:
+            fut.cancel()
 
 
 # -- prime + 4 = square family ------------------------------------------------

@@ -349,6 +349,19 @@ def test_console_script_entry_point():
     assert doc["result"]["invariants"] == [2, 4]
 
 
+def test_parallel_search_exits_cleanly():
+    """The process pool a parallel search leaves running is shut down at
+    exit without a word on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspgate.cli", "search", "--family", "8p", "--bound", "5000", "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["input"]["jobs"] == 2
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before anything is written

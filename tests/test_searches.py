@@ -1,7 +1,15 @@
 import concurrent.futures
+import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import threading
 import time
+import types
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +27,15 @@ from cuspgate.searches import (
 )
 from cuspgate.tate import conductor
 from searches_oracle import scan_4pq_by_factoring, scan_8p_by_primes, scan_z2z4_by_factoring
+
+
+@pytest.fixture(autouse=True)
+def _no_cached_pool():
+    """Each test starts and ends without a cached pool, so a stand-in pool
+    never meets a real one left by an earlier test, or the reverse."""
+    searches._retire_pool()
+    yield
+    searches._retire_pool()
 
 
 def test_neumann_setzer_frozen():
@@ -326,16 +343,13 @@ class _InlinePool:
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn, *args):
         fut = Future()
         fut.set_result(fn(*args))
         return fut
+
+    def shutdown(self, wait=True):
+        pass
 
 
 def _inline_pool(monkeypatch, cpus):
@@ -347,7 +361,8 @@ def _inline_pool(monkeypatch, cpus):
 @pytest.mark.parametrize("cpus, expected", [(None, None), (1, None), (2, 2), (4, 4)])
 def test_run_scan_clamps_jobs_to_cpu_count(monkeypatch, cpus, expected):
     """A huge job count never reaches the pool: it is cut to the CPU count,
-    and to a serial run when there is a single CPU (or none reported)."""
+    and to a serial run when there is a single CPU (or none reported).  The
+    one pool of that size serves both calls."""
     _inline_pool(monkeypatch, cpus)
     chunks = []
 
@@ -355,10 +370,12 @@ def test_run_scan_clamps_jobs_to_cpu_count(monkeypatch, cpus, expected):
         chunks.append((a, b))
         return [(a, b)]
 
-    out = searches._run_scan(worker, 0, 100, 10**6)
+    for _ in range(2):
+        chunks.clear()
+        out = searches._run_scan(worker, 0, 100, 10**6)
+        assert len(chunks) == (1 if expected is None else expected * searches._PIECES_PER_JOB)
+        assert out == sorted(chunks) and out[0][0] == 0 and out[-1][1] == 100
     assert _InlinePool.sizes == ([] if expected is None else [expected])
-    assert len(chunks) == (1 if expected is None else expected * searches._PIECES_PER_JOB)
-    assert out == sorted(chunks) and out[0][0] == 0 and out[-1][1] == 100
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,7 +391,8 @@ def test_chunks_cover_the_range_in_near_equal_widths(lo, width, pieces):
 @pytest.mark.parametrize("lo, hi", [(0, 100), (1, 25), (3, 6001), (7, 9), (5, 5)])
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_run_scan_submits_the_last_piece_first(monkeypatch, lo, hi, cpus):
-    """The pieces go to the pool last first and come back in range order."""
+    """The pieces go to the pool last first and come back in range order,
+    on the pool's first call and on a later one."""
     _inline_pool(monkeypatch, cpus)
     submitted = []
 
@@ -382,14 +400,151 @@ def test_run_scan_submits_the_last_piece_first(monkeypatch, lo, hi, cpus):
         submitted.append((a, b))
         return [(i, tag) for i in range(a, b)]
 
-    out = searches._run_scan(worker, lo, hi, cpus, "x")
+    for tag in ("x", "y"):
+        submitted.clear()
+        out = searches._run_scan(worker, lo, hi, cpus, tag)
+        assert submitted == searches._chunks(lo, hi, cpus * searches._PIECES_PER_JOB)[::-1]
+        assert out == [(i, tag) for i in range(lo, hi)]
     assert _InlinePool.sizes == [cpus]
-    assert submitted == searches._chunks(lo, hi, cpus * searches._PIECES_PER_JOB)[::-1]
-    assert out == [(i, "x") for i in range(lo, hi)]
 
 
 def test_pieces_match_serial_for_z2z4_and_2p(monkeypatch):
     _inline_pool(monkeypatch, 2)
     assert verify_z2z4_classification(600, jobs=2) == verify_z2z4_classification(600)
     assert search_2p_family(24, jobs=2) == search_2p_family(24)
-    assert _InlinePool.sizes == [2, 2]
+    assert _InlinePool.sizes == [2]
+
+
+# -- the cached process pool ---------------------------------------------------
+
+
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
+    """A real pool that records each one started and the pools already
+    running at that moment."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        live = [p for p in self.started if not p._shutdown_thread]
+        self.started.append(self)
+        self.live_at_start = live
+        super().__init__(max_workers=max_workers)
+
+
+def _counting_pool(monkeypatch, cpus):
+    _CountingPool.started = []
+    monkeypatch.setattr(searches.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+
+
+def _piece(a, b):
+    return list(range(a, b))
+
+
+def _exit_in_first_piece(a, b):
+    if a == 0:
+        os._exit(3)
+    return list(range(a, b))
+
+
+def _fail_in_first_piece(a, b):
+    if a == 0:
+        raise AssertionError("piece 0 failed")
+    return list(range(a, b))
+
+
+def test_same_size_calls_share_one_pool(monkeypatch):
+    _counting_pool(monkeypatch, 2)
+    assert search_8p_family(5000, jobs=2) == scan_8p_by_primes(32, 5001)
+    workers = set(searches._POOL[1]._processes)
+    assert searches._run_scan(_piece, 0, 100, 2) == list(range(100))
+    (pool,) = _CountingPool.started
+    assert searches._POOL == ((os.getpid(), 2), pool)
+    assert set(pool._processes) == workers and len(workers) == 2
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+def test_a_new_size_retires_the_old_pool_first(monkeypatch):
+    """Before the 3-process pool forks, the 2-process pool has shut down and
+    its threads are gone: every fork happens with this test's threads alone
+    (Python 3.12 warns about a fork with live threads, an error here)."""
+    _counting_pool(monkeypatch, 3)
+    threads_at_fork = []
+    fork = os.fork
+
+    def counting_fork():
+        threads_at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    base = threading.active_count()
+    assert searches._run_scan(_piece, 0, 100, 2) == list(range(100))
+    old_workers = list(_CountingPool.started[0]._processes.values())
+    assert searches._run_scan(_piece, 0, 100, 3) == list(range(100))
+    old, new = _CountingPool.started
+    assert new.live_at_start == [] and old._shutdown_thread
+    assert not any(p.is_alive() for p in old_workers)
+    assert searches._POOL == ((os.getpid(), 3), new) and len(new._processes) == 3
+    if multiprocessing.get_start_method() == "fork":
+        assert threads_at_fork == [base] * 5
+
+
+def test_a_forked_process_never_gets_the_parent_pool(monkeypatch):
+    """Under another pid (as after fork) a call starts its own pool, and the
+    pool cached by the parent pid is neither served nor shut down."""
+    _counting_pool(monkeypatch, 2)
+    assert searches._run_scan(_piece, 0, 100, 2) == list(range(100))
+    (parent,) = _CountingPool.started
+    child_os = types.SimpleNamespace(cpu_count=lambda: 2, getpid=lambda: os.getpid() + 1)
+    monkeypatch.setattr(searches, "os", child_os)
+    try:
+        assert searches._run_scan(_piece, 0, 100, 2) == list(range(100))
+        assert len(_CountingPool.started) == 2
+        assert searches._POOL == ((os.getpid() + 1, 2), _CountingPool.started[1])
+        assert not parent._shutdown_thread
+        assert parent.submit(sum, [1, 2]).result(timeout=60) == 3
+    finally:
+        searches._retire_pool()  # the pool of the faked pid
+        parent.shutdown()
+
+
+def test_a_dead_worker_breaks_only_its_call(monkeypatch):
+    _counting_pool(monkeypatch, 2)
+    with pytest.raises(BrokenProcessPool):
+        searches._run_scan(_exit_in_first_piece, 0, 100, 2)
+    assert searches._POOL is None and _CountingPool.started[0]._shutdown_thread
+    assert searches._run_scan(_piece, 0, 100, 2) == list(range(100))
+    assert len(_CountingPool.started) == 2
+
+
+def test_a_failed_piece_leaves_the_pool_usable(monkeypatch):
+    _counting_pool(monkeypatch, 2)
+    with pytest.raises(AssertionError, match="piece 0 failed"):
+        searches._run_scan(_fail_in_first_piece, 0, 100, 2)
+    assert searches._run_scan(_piece, 0, 100, 2) == list(range(100))
+    (pool,) = _CountingPool.started
+    assert searches._POOL == ((os.getpid(), 2), pool)
+
+
+_EXIT_AFTER_FREEZE = """
+import gc, json, os
+os.cpu_count = lambda: 2
+from cuspgate import searches
+assert searches.search_8p_family(5000, jobs=2)
+gc.freeze()
+print(json.dumps(sorted(searches._POOL[1]._processes)))
+"""
+
+
+def test_exit_with_a_frozen_pool_is_clean():
+    """A process that froze the collector with the pool alive (as a benchmark
+    worker does) exits 0, writes nothing to stderr and leaves no worker."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXIT_AFTER_FREEZE], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pids = json.loads(proc.stdout)
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
