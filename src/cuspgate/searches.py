@@ -2,21 +2,24 @@
 
 Every scan is a plain enumeration over an integer range, and `_run_scan`
 runs all five.  With `jobs` > 1 it cuts the range into 4 equal-width
-pieces per process and submits the last piece first: in every family a
-value costs more the further along the range it lies (2p's k = k_max tries
-about as many m as all smaller k together), so the costly pieces start
-early and the cheap ones fill in behind them.  The pieces' hits are
+pieces per process, so each family counts its range in units of about
+equal cost.  2p counts the (k, odd m) pairs it tries, not k: one k tries
+about as many m as all smaller k together.  8p counts the r with p in
+[r^2, (r + 1)^2), not p: each case tries one m per two r, but only one per
+about 4 sqrt(p) values of p.  Pieces are submitted last first, since a 4pq
+or z2z4 piece builds a sieve up to its upper end, and their hits are
 concatenated in range order, so the output is byte-identical to the
 single-process run.
 
 The process pool outlives the call.  The first parallel scan starts it,
 later scans with the same (CPU-clamped) job count reuse its workers, and a
 scan with another count shuts it down before starting one of the new size.
-It belongs to the process that started it: a process forked from that one
-starts its own pool and leaves the inherited one alone.  A pool whose
-worker died is dropped after its scan raises `BrokenProcessPool`, so the
-next scan starts afresh, and an `atexit` hook shuts the pool down while the
-interpreter is still whole.
+Parallel scans from several threads take turns on it.  It belongs to the
+process that started it: a process forked from that one starts its own
+pool and leaves the inherited one alone.  A pool whose worker died is
+dropped after its scan raises `BrokenProcessPool`, so the next scan starts
+afresh, and an `atexit` hook shuts the pool down while the interpreter is
+still whole.
 
 The 8p scan enumerates square roots: for each case it walks the odd m with
 p = m^2 - shift in its range and tests only those p for primality, then
@@ -36,6 +39,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 from .arith import Factorization, PrimeSieve, is_prime, is_square
@@ -79,9 +83,10 @@ def _chunks(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
 
 
 # this process's pool as ((pid, jobs), executor), or None before the first
-# parallel scan; no lock guards it, as the library's callers scan from one
-# thread
+# parallel scan; a parallel scan holds the lock from taking the pool to its
+# last result, so another thread's scan cannot retire the pool under it
 _POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 def _pool(jobs: int):
@@ -122,20 +127,21 @@ def _run_scan(worker, lo: int, hi: int, jobs: int, *args) -> list[SearchHit]:
         return worker(lo, hi, *args)
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = _pool(jobs)
     pieces = _chunks(lo, hi, jobs * _PIECES_PER_JOB)
     futures = []
-    try:
-        # the last piece costs the most, so it goes first
-        futures = [pool.submit(worker, a, b, *args) for a, b in reversed(pieces)]
-        return [h for fut in reversed(futures) for h in fut.result()]
-    except BrokenProcessPool:
-        _retire_pool()
-        raise
-    finally:
-        # after a piece fails, the pieces not yet started are not wanted
-        for fut in futures:
-            fut.cancel()
+    with _POOL_LOCK:
+        pool = _pool(jobs)
+        try:
+            # the last piece costs the most, so it goes first
+            futures = [pool.submit(worker, a, b, *args) for a, b in reversed(pieces)]
+            return [h for fut in reversed(futures) for h in fut.result()]
+        except BrokenProcessPool:
+            _retire_pool()
+            raise
+        finally:
+            # after a piece fails, the pieces not yet started are not wanted
+            for fut in futures:
+                fut.cancel()
 
 
 # -- prime + 4 = square family ------------------------------------------------
@@ -171,11 +177,23 @@ def _ivorra_window(k: int, p: int) -> bool:
     return k >= 7 and 2 ** (k - 435) < p**10
 
 
-def _scan_2p(klo: int, khi: int) -> list[SearchHit]:
+def _odd_roots(k: int) -> int:
+    """The number of odd m with m^2 <= 2^k."""
+    return (math.isqrt(2**k) + 1) // 2
+
+
+def _scan_2p(lo: int, hi: int, k_max: int) -> list[SearchHit]:
+    # index i counts the pairs (k, m), k = 1..k_max and odd m^2 <= 2^k, in
+    # that order: the pairs of one k are base, base + 1, ... with m = 2j + 1
     hits = []
-    for k in range(klo, khi):
-        for m in range(1, math.isqrt(2**k) + 1, 2):
-            p = 2**k - m * m
+    base = 0
+    for k in range(1, k_max + 1):
+        count = _odd_roots(k)
+        jlo, jhi = max(lo - base, 0), min(hi - base, count)
+        base += count
+        two_k = 2**k
+        for m in range(2 * jlo + 1, 2 * jhi, 2):
+            p = two_k - m * m
             if p < 2 or p % 16 != 7 or not is_prime(p):
                 continue
             if p < 29:
@@ -204,7 +222,8 @@ def search_2p_family(k_max: int, *, jobs: int = 1) -> list[SearchHit]:
     """
     if k_max < 3:
         raise ValueError("k_max must be at least 3")
-    return _run_scan(_scan_2p, 1, k_max + 1, jobs)
+    pairs = sum(_odd_roots(k) for k in range(1, k_max + 1))
+    return _run_scan(_scan_2p, 0, pairs, jobs, k_max)
 
 
 # -- conductor 8p from p -+ 16/32 ----------------------------------------------
@@ -235,6 +254,11 @@ def _scan_8p(plo: int, phi: int) -> list[SearchHit]:
     return hits
 
 
+def _scan_8p_by_root(rlo: int, rhi: int, p_max: int) -> list[SearchHit]:
+    """_scan_8p over the p of [rlo^2, rhi^2) that lie in [32, p_max]."""
+    return _scan_8p(max(rlo * rlo, 32), min(rhi * rhi, p_max + 1))
+
+
 def search_8p_family(p_max: int, *, jobs: int = 1) -> list[SearchHit]:
     """Primes 31 < p <= p_max with p - 16, p - 32 or p + 32 an odd square.
 
@@ -243,7 +267,7 @@ def search_8p_family(p_max: int, *, jobs: int = 1) -> list[SearchHit]:
     """
     if p_max < 37:
         raise ValueError("p_max must be at least 37")
-    return _run_scan(_scan_8p, 32, p_max + 1, jobs)
+    return _run_scan(_scan_8p_by_root, 5, math.isqrt(p_max) + 1, jobs, p_max)
 
 
 # -- conductor 2^a pq from prime powers 8 apart --------------------------------

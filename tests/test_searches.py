@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -111,6 +112,18 @@ def test_2p_family_window_flags():
             assert h.conductor == 2 * p or "small-p-exception" in h.tags
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 22), st.lists(st.integers(0, 4000), max_size=6))
+def test_2p_pair_index_pieces_join_to_the_whole(k_max, cuts):
+    """The 2p range counts (k, m) pairs; any cut of it gives pieces whose
+    hits join, in order, into the whole scan's."""
+    pairs = sum(searches._odd_roots(k) for k in range(1, k_max + 1))
+    assert pairs == sum(len(range(1, math.isqrt(2**k) + 1, 2)) for k in range(1, k_max + 1))
+    ends = sorted({0, pairs, *(c % (pairs + 1) for c in cuts)})
+    joined = [h for a, b in zip(ends, ends[1:]) for h in searches._scan_2p(a, b, k_max)]
+    assert joined == search_2p_family(k_max)
+
+
 def test_8p_family_frozen():
     hits = search_8p_family(120)
     rows = [(h.params_dict()["case"], h.params_dict()["m"], h.params_dict()["p"]) for h in hits]
@@ -147,6 +160,17 @@ def test_8p_parallel_matches_the_prime_loop_oracle():
 def test_8p_chunks_match_the_prime_loop_oracle(lo, width):
     """Any chunk, odd or even ends, gives the oracle's hits in its order."""
     assert searches._scan_8p(lo, lo + width) == scan_8p_by_primes(lo, lo + width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(37, 5000), st.lists(st.integers(0, 100), max_size=5))
+def test_8p_root_pieces_join_to_the_whole(p_max, cuts):
+    """The 8p range counts square roots r of p; any cut of it gives pieces
+    whose hits join, in order, into the oracle's over 32 <= p <= p_max."""
+    top = math.isqrt(p_max) + 1
+    ends = sorted({5, top, *(5 + c % (top - 4) for c in cuts)})
+    joined = [h for a, b in zip(ends, ends[1:]) for h in searches._scan_8p_by_root(a, b, p_max)]
+    assert joined == scan_8p_by_primes(32, p_max + 1)
 
 
 def test_4pq_family_frozen():
@@ -406,6 +430,20 @@ def test_run_scan_submits_the_last_piece_first(monkeypatch, lo, hi, cpus):
         assert submitted == searches._chunks(lo, hi, cpus * searches._PIECES_PER_JOB)[::-1]
         assert out == [(i, tag) for i in range(lo, hi)]
     assert _InlinePool.sizes == [cpus]
+
+
+def test_parallel_scans_from_two_threads_take_turns(monkeypatch):
+    """A scan waits while another thread's scan holds the pool, so it can
+    never retire a pool that scan is still using."""
+    _inline_pool(monkeypatch, 4)
+    out = []
+    with searches._POOL_LOCK:
+        t = threading.Thread(target=lambda: out.append(searches._run_scan(_piece, 0, 100, 2)))
+        t.start()
+        t.join(0.2)
+        assert t.is_alive() and _InlinePool.sizes == []
+    t.join(60)
+    assert out == [list(range(100))] and _InlinePool.sizes == [2]
 
 
 def test_pieces_match_serial_for_z2z4_and_2p(monkeypatch):
