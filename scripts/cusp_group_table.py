@@ -20,14 +20,16 @@ from cuspgate.arith import factor
 from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-level", type=int, default=120)
     ap.add_argument("--min-level", type=int, default=2)
     ap.add_argument("--only-odd", action="store_true",
                     help="print only levels whose cuspidal group has odd order")
     ap.add_argument("--csv", action="store_true", help="CSV instead of aligned text")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.min_level < 1:
+        ap.error("--min-level must be at least 1")
 
     rows = []
     t0 = time.monotonic()
@@ -44,7 +46,7 @@ def main() -> int:
     elapsed = time.monotonic() - t0
 
     if args.csv:
-        w = csv.writer(sys.stdout)
+        w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["level", "num_primes", "invariants", "order"])
         for n, t, invs, order in rows:
             w.writerow([n, t, ";".join(map(str, invs)), order])

@@ -18,12 +18,14 @@ from cuspgate.arith import factor
 from cuspgate.gates import KNOWN_ODD_NONSEMISTABLE, gate_nonsemistable, gate_squarefree
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--min-level", type=int, default=2)
     ap.add_argument("--max-level", type=int, default=500)
     ap.add_argument("--passing-only", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.min_level < 1:
+        ap.error("--min-level must be at least 1")
 
     reasons = Counter()
     passing = []

@@ -356,7 +356,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cuspgate",
         description="cuspidal divisor groups, eta quotients, reduction types "
@@ -406,7 +406,7 @@ def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(_SEARCHES), required=True)
     p.add_argument("--bound", type=int, required=True, help="k_max for 2p, p_max for 8p")
     p.add_argument("--difference", type=int, default=8, help="4pq only: gap 4 or 8")
-    p.add_argument("--jobs", type=_positive_int, default=default_jobs)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--csv", action="store_true", help="emit CSV rows instead of JSON")
 
     p = add("tate", _cmd_tate, "reduction type of an integral model at p")
@@ -430,13 +430,7 @@ def _build_parser(default_jobs: int) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        default_jobs = _positive_int(os.environ.get("CUSPGATE_JOBS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        print(f"cuspgate: error: CUSPGATE_JOBS: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser(default_jobs)
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler = args.handler
     try:
         # encoding is inside: a rational too long to print is a domain error

@@ -289,23 +289,24 @@ def test_jobs_flag_and_env(capsys, monkeypatch):
     parallel = run_json(capsys, "search", "--family", "8p", "--bound", "120", "--jobs", "3")
     assert serial["input"]["jobs"] == 1 and parallel["input"]["jobs"] == 3
     assert serial["result"] == parallel["result"]
-    monkeypatch.setenv("CUSPGATE_JOBS", "2")
-    env_run = run_json(capsys, "search", "--family", "8p", "--bound", "120")
-    assert env_run["input"]["jobs"] == 2
-    assert env_run["result"] == serial["result"]
+    # the job count comes from --jobs alone: CUSPGATE_JOBS=0 changes no
+    # exit code and no byte of output, of a search or of any other query
+    queries = [["gate", "--level", "11"], ["search", "--family", "8p", "--bound", "120"]]
+    monkeypatch.delenv("CUSPGATE_JOBS", raising=False)
+    unset = [run_cli(capsys, *argv) for argv in queries]
+    monkeypatch.setenv("CUSPGATE_JOBS", "0")
+    for argv, expected in zip(queries, unset):
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv) == expected
+    assert json.loads(unset[1][1])["input"]["jobs"] == 1
 
 
-def test_jobs_must_be_positive(capsys, monkeypatch):
+def test_jobs_must_be_positive(capsys):
     for bad in ("0", "-3", "two"):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--family", "8p", "--bound", "120", "--jobs", bad])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
-    for bad in ("0", "-1", "lots", ""):
-        monkeypatch.setenv("CUSPGATE_JOBS", bad)
-        code, out, err = run_cli(capsys, "search", "--family", "8p", "--bound", "120")
-        assert code == 2 and out == ""
-        assert "CUSPGATE_JOBS" in err
 
 
 def test_output_keys_are_sorted(capsys):
@@ -326,6 +327,16 @@ def test_domain_errors_exit_1(capsys):
     assert code3 == 1 and out3 == "" and err3.startswith("error:")
     code4, _, err4 = run_cli(capsys, "curve-transform", "--curve", "0,0,0,1,1", "--u", "1/0")
     assert code4 == 1 and err4.startswith("error: cannot parse transform")
+
+
+@pytest.mark.parametrize(
+    "family, bound, message",
+    [("neumann-setzer", "2", "bound must be at least 5"), ("8p", "30", "p_max must be at least 37")],
+)
+def test_search_bound_below_the_domain_exits_1(capsys, family, bound, message):
+    code, out, err = run_cli(capsys, "search", "--family", family, "--bound", bound)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -171,7 +171,7 @@ def spaced(args: list[str]) -> list[str] | None:
 
 def test_fuzz_covers_every_handler():
     handlers = {obj for name, obj in vars(cli).items() if name.startswith("_cmd_")}
-    parser = cli._build_parser(1)
+    parser = cli._build_parser()
     assert {parser.parse_args([sub, *args]).handler for sub, args in VALID.items()} == handlers
     assert set(ARGV) == set(VALID)
 
