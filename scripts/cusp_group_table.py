@@ -30,6 +30,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.min_level < 1:
         ap.error("--min-level must be at least 1")
+    if args.max_level < args.min_level:
+        ap.error("--max-level must be at least --min-level")
 
     rows = []
     t0 = time.monotonic()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cusps import CuspDivisor, SquarefreeLevel
 
@@ -133,4 +132,4 @@ def sign_divisor(
     for u, mask in zip(labels, masks):
         eps = signs[u]
         coeffs = [c - eps * coeffs[k ^ mask] for k, c in enumerate(coeffs)]
-    return CuspDivisor(level, tuple(map(Fraction, coeffs)))
+    return CuspDivisor._of(level, coeffs)

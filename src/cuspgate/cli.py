@@ -91,7 +91,7 @@ def _model_list(e: WeierstrassModel | None):
 
 
 def _divisor_pairs(w) -> list[list]:
-    return [[str(d), w.coeffs[k]] for k, d in enumerate(w.level.divisors)]
+    return [[str(d), c] for d, c in zip(w.level.divisors, w.coeffs)]
 
 
 # -- subcommand handlers -----------------------------------------------------

@@ -7,12 +7,12 @@ prod(p_i ** bit_i(k)) over the ascending primes p_i of N.  The linear map
 eta-exponent vectors to cusp divisors.  Its inverse is 24 K / D with
 K = tensor_i [[p_i,-1],[-1,p_i]] and D = prod(p_i^2 - 1), so one integer
 congruence system mod D (`_principal_residues`) decides principality and
-divisor order.  Both maps act on the input's integer numerators c over
-their lcm L (`_scaled_tensor`); each entry is then one Fraction, c / (24 L) or
-24 c / (D L).  The group structure is read off the same system in
-coordinates where it is diagonal but for t + 1 dense rows
-(`_congruence_rows`), by one elimination over each prime power of D
-(`lattice.image_invariants`).
+divisor order.  A vector is integer numerators c over one denominator L,
+so each map runs `_tensor` on c and reduces once, over 24 L or (times 24)
+D L; Fractions are built only when a caller reads `coeffs`.  The group
+structure is read off the same system in coordinates where it is diagonal
+but for t + 1 dense rows (`_congruence_rows`), by one elimination over each
+prime power of D (`lattice.image_invariants`).
 """
 
 from __future__ import annotations
@@ -67,64 +67,101 @@ class SquarefreeLevel:
         return k
 
 
-@dataclass(frozen=True)
 class DivisorVector:
-    """A rational vector indexed by the divisors of N (bit order)."""
+    """A rational vector indexed by the divisors of N (bit order): integer
+    numerators `c` over one denominator `L` >= 1, in lowest terms."""
 
-    level: SquarefreeLevel
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("level", "c", "L")
 
-    def __post_init__(self):
-        if len(self.coeffs) != 1 << self.level.t:
-            raise ValueError(f"level {self.level.n} needs {1 << self.level.t} coefficients")
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
+    def __new__(cls, level: SquarefreeLevel, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != 1 << level.t:
+            raise ValueError(f"level {level.n} needs {1 << level.t} coefficients")
+        if not all(isinstance(x, Fraction) for x in coeffs):
             raise TypeError("coefficients must be Fractions")
+        L = math.lcm(*(x.denominator for x in coeffs))
+        return cls._of(level, [x.numerator * (L // x.denominator) for x in coeffs], L)
+
+    @classmethod
+    def _of(cls, level: SquarefreeLevel, c, L: int = 1):
+        """c / L from integers, reduced to gcd(L, *c) = 1: equal vectors
+        then have equal fields.  The library builds every vector here."""
+        g = math.gcd(L, *c) if L != 1 else 1
+        self = object.__new__(cls)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "c", tuple([x // g for x in c] if g != 1 else c))
+        object.__setattr__(self, "L", L // g)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.level, self.coeffs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.L) for x in self.c)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(level={self.level!r}, coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.c, self.L) == (other.level, other.c, other.L)
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.coeffs))
 
     @classmethod
     def zero(cls, level: SquarefreeLevel):
-        return cls(level, (Fraction(0),) * (1 << level.t))
+        return cls._of(level, (0,) * (1 << level.t))
 
     @classmethod
     def from_map(cls, level: SquarefreeLevel, entries: dict):
         coeffs = [Fraction(0)] * (1 << level.t)
-        for d, c in entries.items():
-            coeffs[level.divisor_index(d)] += Fraction(c)
+        for d, x in entries.items():
+            coeffs[level.divisor_index(d)] = Fraction(x)
         return cls(level, tuple(coeffs))
 
     def coeff(self, d: int) -> Fraction:
-        return self.coeffs[self.level.divisor_index(d)]
+        return Fraction(self.c[self.level.divisor_index(d)], self.L)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.L == 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.c)
 
     def __add__(self, other):
         if self.level != other.level:
             raise ValueError("mismatched levels")
-        return type(self)(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        L = math.lcm(self.L, other.L)
+        a, b = L // self.L, L // other.L
+        return self._of(self.level, [a * x + b * y for x, y in zip(self.c, other.c)], L)
 
     def __sub__(self, other):
-        if self.level != other.level:
-            raise ValueError("mismatched levels")
-        return type(self)(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __rmul__(self, k):
+        if isinstance(k, int):
+            return self._of(self.level, [k * x for x in self.c], self.L)
         k = Fraction(k)
-        return type(self)(self.level, tuple(k * c for c in self.coeffs))
+        return self._of(self.level, [k.numerator * x for x in self.c], k.denominator * self.L)
 
     def __neg__(self):
         return -1 * self
 
 
 class CuspDivisor(DivisorVector):
+    __slots__ = ()
+
     def degree(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
+        return Fraction(sum(self.c), self.L)
 
 
 class EtaVector(DivisorVector):
-    pass
+    __slots__ = ()
 
 
 def _tensor(level: SquarefreeLevel, ints: list[int], off: int) -> list[int]:
@@ -138,21 +175,9 @@ def _tensor(level: SquarefreeLevel, ints: list[int], off: int) -> list[int]:
     return ints
 
 
-def _numerators(v: DivisorVector) -> tuple[list[int], int]:
-    """(c, L): L is the lcm of v's denominators and v = c / L entrywise."""
-    L = math.lcm(*(c.denominator for c in v.coeffs))
-    return [c.numerator * (L // c.denominator) for c in v.coeffs], L
-
-
-def _scaled_tensor(v: DivisorVector, off: int, numer: int, denom: int) -> tuple[Fraction, ...]:
-    """(numer/denom) tensor_i [[p_i, off], [off, p_i]] v, on v's integer numerators."""
-    ints, L = _numerators(v)
-    return tuple(Fraction(numer * c, denom * L) for c in _tensor(v.level, ints, off))
-
-
 def lambda_forward(v: EtaVector) -> CuspDivisor:
     """(1/24) * tensor_i [[p_i, 1], [1, p_i]] applied to v."""
-    return CuspDivisor(v.level, _scaled_tensor(v, 1, 1, 24))
+    return CuspDivisor._of(v.level, _tensor(v.level, list(v.c), 1), 24 * v.L)
 
 
 def _modulus(level: SquarefreeLevel) -> int:
@@ -162,7 +187,8 @@ def _modulus(level: SquarefreeLevel) -> int:
 
 def lambda_inverse(w: CuspDivisor) -> EtaVector:
     """Exact inverse of lambda_forward: 24 * tensor_i [[p,-1],[-1,p]]/(p^2-1)."""
-    return EtaVector(w.level, _scaled_tensor(w, -1, 24, _modulus(w.level)))
+    kw = _tensor(w.level, list(w.c), -1)
+    return EtaVector._of(w.level, [24 * x for x in kw], _modulus(w.level) * w.L)
 
 
 def _principal_residues(level: SquarefreeLevel, coeffs) -> list[int]:
@@ -179,24 +205,12 @@ def _principal_residues(level: SquarefreeLevel, coeffs) -> list[int]:
     return [24 * c for c in kw] + [12 * c for c in contractions]
 
 
-def _integral_coeffs(w: CuspDivisor, caller: str) -> list[int]:
-    if not w.is_integral():
-        raise ValueError(f"{caller} expects an integral divisor")
-    return [c.numerator for c in w.coeffs]
-
-
 def is_principal(w: CuspDivisor) -> bool:
-    """Whether the integral divisor w is a divisor of a function.
-
-    w is principal iff its degree vanishes and every entry of
-    `_principal_residues` is 0 mod D: the eta-exponent preimage is
-    integral and each of its per-prime contractions is even.
-    """
-    coeffs = _integral_coeffs(w, "is_principal")
-    if sum(coeffs) != 0:
-        return False
-    D = _modulus(w.level)
-    return all(r % D == 0 for r in _principal_residues(w.level, coeffs))
+    """Whether the integral divisor w is a divisor of a function: its degree
+    vanishes and its order is 1."""
+    if w.L != 1:
+        raise ValueError("is_principal expects an integral divisor")
+    return sum(w.c) == 0 and divisor_order(w) == 1
 
 
 def divisor_order(w: CuspDivisor) -> int:
@@ -205,11 +219,12 @@ def divisor_order(w: CuspDivisor) -> int:
     The residues of n*w are n times those of w, and n*r = 0 (mod D) for
     every residue r exactly when D / gcd(D, r's) divides n.
     """
-    coeffs = _integral_coeffs(w, "divisor_order")
-    if sum(coeffs) != 0:
+    if w.L != 1:
+        raise ValueError("divisor_order expects an integral divisor")
+    if sum(w.c) != 0:
         raise ValueError("divisor_order expects a degree-0 divisor")
     D = _modulus(w.level)
-    return D // math.gcd(D, *_principal_residues(w.level, coeffs))
+    return D // math.gcd(D, *_principal_residues(w.level, w.c))
 
 
 def ogg_order(level: SquarefreeLevel, signs) -> int:
@@ -284,8 +299,5 @@ def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:
     """
     if w.level.n % 2 != 0:
         raise ValueError("2-old projection needs an even level")
-    target = SquarefreeLevel.of(w.level.n // 2)
-    coeffs = [Fraction(0)] * (1 << target.t)
-    for k, c in enumerate(w.coeffs):
-        coeffs[k >> 1] += c
-    return CuspDivisor(target, tuple(coeffs))
+    c = [x + y for x, y in zip(w.c[::2], w.c[1::2])]
+    return CuspDivisor._of(SquarefreeLevel.of(w.level.n // 2), c, w.L)

@@ -4,16 +4,16 @@ On a square-free level the classical vanishing orders of eta(M*tau) on
 X0(N) at the cusp of denominator d assemble to `cusps.lambda_forward` (same
 convention, no relabeling); the test suite pins that down against the
 order formula in `tests/cusps_oracle.py`, so `divisor_of_eta_quotient` is
-that tensor map.  `ligozat_check` tests the exponents' integer numerators
-c over their lcm L: (1) is L = 1, and sum r_d x_d is in 24Z, in (2) and
-(3), iff sum c_d x_d is in 24 L Z.
+that tensor map.  `ligozat_check` reads the vector's integer numerators c
+over its reduced denominator L: (1) is L = 1, and sum r_d x_d is in 24Z,
+in (2) and (3), iff sum c_d x_d is in 24 L Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cusps import CuspDivisor, EtaVector, _numerators, lambda_forward
+from .cusps import CuspDivisor, EtaVector, lambda_forward
 
 
 def divisor_of_eta_quotient(r: EtaVector) -> CuspDivisor:
@@ -39,9 +39,8 @@ def ligozat_check(r: EtaVector) -> LigozatVerdict:
     (3) sum r_d * (N/d) = 0 mod 24; (4) sum r_d = 0; (5) prod d^(r_d) is
     a rational square.  Condition 5 is only evaluated when 1 holds.
     """
-    level = r.level
+    level, c, L = r.level, r.c, r.L
     failed = []
-    c, L = _numerators(r)
     if L != 1:
         failed.append(1)
     if sum(x * d for x, d in zip(c, level.divisors)) % (24 * L):

@@ -1,5 +1,9 @@
-"""The Fraction forms of the tensor maps and of the principal-lattice test,
-kept as test oracles.
+"""The Fraction forms of the divisor vector, of the tensor maps and of the
+principal-lattice test, kept as test oracles.
+
+`FractionVector` is the vector record as it was before it held integer
+numerators over one denominator: a frozen dataclass with one `Fraction` per
+divisor, whose sums, differences and multiples are taken entry by entry.
 
 `lambda_forward`, `lambda_inverse` and `ligozat_check` are the library's
 maps as they were before they ran on integer numerators over one common
@@ -22,10 +26,42 @@ square-free level those orders are the matrix of `lambda_forward`.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from cuspgate.cusps import CuspDivisor, EtaVector, SquarefreeLevel
 from cuspgate.eta import LigozatVerdict
+
+
+@dataclass(frozen=True)
+class FractionVector:
+    level: SquarefreeLevel
+    coeffs: tuple[Fraction, ...]
+
+    def coeff(self, d: int) -> Fraction:
+        return self.coeffs[self.level.divisor_index(d)]
+
+    def degree(self) -> Fraction:
+        return sum(self.coeffs, Fraction(0))
+
+    def is_integral(self) -> bool:
+        return all(c.denominator == 1 for c in self.coeffs)
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def __add__(self, other):
+        return FractionVector(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return FractionVector(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __rmul__(self, k):
+        k = Fraction(k)
+        return FractionVector(self.level, tuple(k * c for c in self.coeffs))
+
+    def __neg__(self):
+        return -1 * self
 
 
 def eta_order_at_cusp(n: int, m: int, d: int) -> Fraction:

@@ -428,3 +428,97 @@ def test_vector_length_is_checked_without_the_divisors(capsys, monkeypatch, argv
     assert code == 1 and out == ""
     assert "needs 33554432 comma-separated entries, got 2" in err
     assert time.perf_counter() - start < 1
+
+
+def _record(sub: str, inputs: str, result: str) -> str:
+    """The exact stdout of one query: `inputs` and `result` are the indented
+    bodies of the two blocks, one key per line."""
+    return (
+        f'{{\n  "input": {{\n{inputs}    "subcommand": "{sub}"\n  }},\n'
+        f'  "result": {{\n{result}  }},\n  "subcommand": "{sub}",\n  "version": "0.1.0"\n}}\n'
+    )
+
+
+def _pairs(*pairs: tuple[str, str]) -> str:
+    return ",\n".join(
+        f'      [\n        "{d}",\n        "{c}"\n      ]' for d, c in pairs
+    )
+
+
+# stdout and exit codes of divisor queries, taken from the Fraction-backed
+# vectors: the integer form must print the same bytes
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["cusp-order", "--level", "15", "--divisor", "1/2,0,0,-1/2"], 1, ""),
+        (["cusp-order", "--level", "30", "--divisor", "2/4,-1/2,0,0,0,0,0,0"], 1, ""),
+        (["cusp-order", "--level", "14", "--divisor", "1/2,0,-1/2,0", "--project-2-old"], 1, ""),
+        (
+            ["cusp-order", "--level", "30", "--divisor", "1,0,0,0,0,0,0,-1"],
+            0,
+            _record(
+                "cusp-order",
+                '    "divisor": "1,0,0,0,0,0,0,-1",\n    "level": 30,\n'
+                '    "project_2_old": false,\n',
+                '    "order": 24,\n    "principal": false\n',
+            ),
+        ),
+        (
+            ["cusp-order", "--level", "14", "--divisor", "2,0,-1,-1", "--project-2-old"],
+            0,
+            _record(
+                "cusp-order",
+                '    "divisor": "2,0,-1,-1",\n    "level": 14,\n    "project_2_old": true,\n',
+                '    "order": 1,\n    "principal": true,\n    "projected_coefficients": [\n'
+                + _pairs(("1", "2"), ("7", "-2"))
+                + '\n    ],\n    "projected_level": 7\n',
+            ),
+        ),
+        (
+            ["eta-check", "--level", "11", "--exponents", "1/2,-1/2"],
+            0,
+            _record(
+                "eta-check",
+                '    "exponents": "1/2,-1/2",\n    "level": 11,\n',
+                '    "failed_conditions": [\n      1,\n      2,\n      3\n    ],\n'
+                '    "ok": false\n',
+            ),
+        ),
+        (
+            ["eta-check", "--level", "15", "--exponents", "1/3,-2/6,0,0"],
+            0,
+            _record(
+                "eta-check",
+                '    "exponents": "1/3,-2/6,0,0",\n    "level": 15,\n',
+                '    "failed_conditions": [\n      1,\n      2,\n      3\n    ],\n'
+                '    "ok": false\n',
+            ),
+        ),
+        (
+            ["eta-divisor", "--level", "11", "--exponents", "2/4,-1/2"],
+            0,
+            _record(
+                "eta-divisor",
+                '    "exponents": "2/4,-1/2",\n    "level": 11,\n',
+                '    "coefficients": [\n' + _pairs(("1", "5/24"), ("11", "-5/24")) + "\n    ]\n",
+            ),
+        ),
+        (
+            ["eta-divisor", "--level", "15", "--exponents", "1/3,-2/6,0,0"],
+            0,
+            _record(
+                "eta-divisor",
+                '    "exponents": "1/3,-2/6,0,0",\n    "level": 15,\n',
+                '    "coefficients": [\n'
+                + _pairs(("1", "5/36"), ("3", "-5/36"), ("5", "1/36"), ("15", "-1/36"))
+                + "\n    ]\n",
+            ),
+        ),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+)
+def test_divisor_output_is_pinned(capsys, argv, code, out):
+    got_code, got_out, err = run_cli(capsys, *argv)
+    assert (got_code, got_out) == (code, out)
+    if code == 1:
+        assert err == "error: divisor_order expects an integral divisor\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -76,6 +77,39 @@ def test_divisor_vector_helpers():
         w - CuspDivisor.zero(SquarefreeLevel.of(14))
 
 
+def test_divisor_vector_record_contract():
+    """repr, eq, hash and immutability of a vector as the frozen dataclass
+    gave them: the class and both fields in the repr, Fraction entries,
+    same-class equality, and equal vectors reached by different paths hash
+    alike."""
+    L = SquarefreeLevel.of(6)
+    v = sign_divisor(L, {2: 1, 3: -1})
+    assert repr(v) == (
+        "CuspDivisor(level=SquarefreeLevel(n=6, primes=(2, 3)), coeffs=(Fraction(1, 1), "
+        "Fraction(-1, 1), Fraction(1, 1), Fraction(-1, 1)))"
+    )
+    assert hash(v) == hash((v.level, v.coeffs))
+    assert all(type(c) is Fraction for c in v.coeffs)
+    assert type(v.coeff(2)) is Fraction and type(v.degree()) is Fraction
+    eta = EtaVector(L, v.coeffs)
+    assert v != eta and eta != v and v.coeffs == eta.coeffs
+    w = CuspDivisor(L, (Fraction(2, 4), Fraction(-1, 3), Fraction(0), Fraction(-1, 6)))
+    for other in (
+        lambda_forward(lambda_inverse(w)),
+        2 * (Fraction(1, 2) * w),
+        w + CuspDivisor.zero(L),
+        -(-w),
+        CuspDivisor(L, (Fraction(1, 2), Fraction(-2, 6), Fraction(0, 5), Fraction(-1, 6))),
+    ):
+        assert type(other) is CuspDivisor
+        assert other == w and hash(other) == hash(w) and repr(other) == repr(w)
+    assert w != 2 * w and w != CuspDivisor.zero(L)
+    # frozen, and a pickle round trip gives an equal vector
+    assert pickle.loads(pickle.dumps(w)) == w
+    with pytest.raises(AttributeError):
+        w.level = SquarefreeLevel.of(30)
+
+
 def test_lambda_forward_frozen():
     # eta(tau)^24 / eta(11 tau)^24 has divisor 10 (P_1) - 10 (P_11)
     L = SquarefreeLevel.of(11)
@@ -125,6 +159,56 @@ def test_integer_maps_match_fraction_oracles(nc):
     assert ligozat_check(v) == cusps_oracle.ligozat_check(v)
     u = lambda_inverse(w)
     assert ligozat_check(u) == cusps_oracle.ligozat_check(u)
+
+
+@st.composite
+def vector_case(draw):
+    """A level with t <= 4; two vectors with entries a/b from integer pairs
+    that need not be coprime (2/4, -6/3), so their common denominator often
+    reduces; integers for a degree-0 divisor; an int and a Fraction scalar."""
+    level = SquarefreeLevel.of(draw(small_levels))
+    size = 1 << level.t
+    pair = st.tuples(st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24, 35]))
+    vector = st.lists(pair, min_size=size, max_size=size).map(
+        lambda ps: tuple(Fraction(a, b) for a, b in ps)
+    )
+    raw = st.lists(st.integers(-40, 40), min_size=size, max_size=size)
+    return (level.n, draw(vector), draw(vector), draw(raw),
+            draw(st.integers(-12, 12)), draw(st.fractions(max_denominator=30)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=(6, (Fraction(2, 4),) * 4, (Fraction(0),) * 4, [0] * 4, 0, Fraction(-2, 4)))
+@example(case=(15, (Fraction(0),) * 4, (Fraction(6, 4), Fraction(-2, 4), Fraction(10, 4), Fraction(2, 4)),
+               [1, 0, 0, -1], 2, Fraction(2, 3)))
+@given(vector_case())
+def test_vector_operations_match_the_fraction_record(case):
+    """Every operation on the numerators-over-one-denominator form against
+    `cusps_oracle.FractionVector`, entry by entry."""
+    n, x, y, raw, k, q = case
+    L = SquarefreeLevel.of(n)
+    for cls in (CuspDivisor, EtaVector):
+        v, w = cls(L, x), cls(L, y)
+        fv, fw = cusps_oracle.FractionVector(L, x), cusps_oracle.FractionVector(L, y)
+        assert v.coeffs == fv.coeffs and all(type(c) is Fraction for c in v.coeffs)
+        assert [v.coeff(d) for d in L.divisors] == [fv.coeff(d) for d in L.divisors]
+        assert (v.is_integral(), v.is_zero()) == (fv.is_integral(), fv.is_zero())
+        for got, want in ((v + w, fv + fw), (v - w, fv - fw), (k * v, k * fv),
+                          (q * v, q * fv), (-v, -fv)):
+            assert type(got) is cls and got.coeffs == want.coeffs
+            assert got.L >= 1 and math.gcd(got.L, *got.c) == 1
+            assert got == cls(L, want.coeffs) and hash(got) == hash(cls(L, want.coeffs))
+    assert CuspDivisor(L, x).degree() == fv.degree()
+    v = EtaVector(L, x)
+    assert repr(lambda_forward(v)) == repr(cusps_oracle.lambda_forward(v))
+    w = CuspDivisor(L, x)
+    assert repr(lambda_inverse(w)) == repr(cusps_oracle.lambda_inverse(w))
+    assert ligozat_check(v) == cusps_oracle.ligozat_check(v)
+    coeffs = [Fraction(c) for c in raw]
+    coeffs[0] -= sum(coeffs)
+    w = CuspDivisor(L, tuple(coeffs))
+    assert is_principal(w) == cusps_oracle.is_principal(w)
+    assert divisor_order(w) == cusps_oracle.divisor_order(w)
 
 
 @settings(max_examples=200, deadline=None)

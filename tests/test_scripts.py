@@ -1,5 +1,6 @@
 """scripts/cusp_group_table.py and scripts/gate_survey.py print what the
-library computes, and refuse a level below 1 as a usage error."""
+library computes, and refuse a level below 1 or an empty range as a usage
+error."""
 
 import csv
 import importlib.util
@@ -64,3 +65,21 @@ def test_level_below_1_is_a_usage_error(capsys, script, min_level):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.splitlines()[-1].endswith(": error: --min-level must be at least 1")
+
+
+@pytest.mark.parametrize("script", [cusp_group_table, gate_survey], ids=["cusp_group_table", "gate_survey"])
+@pytest.mark.parametrize("min_level, max_level", [("10", "5"), ("2", "1")])
+def test_max_level_below_min_level_is_a_usage_error(capsys, script, min_level, max_level):
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--min-level", min_level, "--max-level", max_level])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(": error: --max-level must be at least --min-level")
+
+
+@pytest.mark.parametrize("script", [cusp_group_table, gate_survey], ids=["cusp_group_table", "gate_survey"])
+def test_a_one_level_range_is_accepted(capsys, script):
+    assert script.main(["--min-level", "11", "--max-level", "11"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].split()[0] == "11"
