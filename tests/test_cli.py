@@ -447,75 +447,76 @@ def _pairs(*pairs: tuple[str, str]) -> str:
 
 # stdout and exit codes of divisor queries, taken from the Fraction-backed
 # vectors: the integer form must print the same bytes
+PINNED_DIVISOR_QUERIES = [
+    (["cusp-order", "--level", "15", "--divisor", "1/2,0,0,-1/2"], 1, ""),
+    (["cusp-order", "--level", "30", "--divisor", "2/4,-1/2,0,0,0,0,0,0"], 1, ""),
+    (["cusp-order", "--level", "14", "--divisor", "1/2,0,-1/2,0", "--project-2-old"], 1, ""),
+    (
+        ["cusp-order", "--level", "30", "--divisor", "1,0,0,0,0,0,0,-1"],
+        0,
+        _record(
+            "cusp-order",
+            '    "divisor": "1,0,0,0,0,0,0,-1",\n    "level": 30,\n'
+            '    "project_2_old": false,\n',
+            '    "order": 24,\n    "principal": false\n',
+        ),
+    ),
+    (
+        ["cusp-order", "--level", "14", "--divisor", "2,0,-1,-1", "--project-2-old"],
+        0,
+        _record(
+            "cusp-order",
+            '    "divisor": "2,0,-1,-1",\n    "level": 14,\n    "project_2_old": true,\n',
+            '    "order": 1,\n    "principal": true,\n    "projected_coefficients": [\n'
+            + _pairs(("1", "2"), ("7", "-2"))
+            + '\n    ],\n    "projected_level": 7\n',
+        ),
+    ),
+    (
+        ["eta-check", "--level", "11", "--exponents", "1/2,-1/2"],
+        0,
+        _record(
+            "eta-check",
+            '    "exponents": "1/2,-1/2",\n    "level": 11,\n',
+            '    "failed_conditions": [\n      1,\n      2,\n      3\n    ],\n'
+            '    "ok": false\n',
+        ),
+    ),
+    (
+        ["eta-check", "--level", "15", "--exponents", "1/3,-2/6,0,0"],
+        0,
+        _record(
+            "eta-check",
+            '    "exponents": "1/3,-2/6,0,0",\n    "level": 15,\n',
+            '    "failed_conditions": [\n      1,\n      2,\n      3\n    ],\n'
+            '    "ok": false\n',
+        ),
+    ),
+    (
+        ["eta-divisor", "--level", "11", "--exponents", "2/4,-1/2"],
+        0,
+        _record(
+            "eta-divisor",
+            '    "exponents": "2/4,-1/2",\n    "level": 11,\n',
+            '    "coefficients": [\n' + _pairs(("1", "5/24"), ("11", "-5/24")) + "\n    ]\n",
+        ),
+    ),
+    (
+        ["eta-divisor", "--level", "15", "--exponents", "1/3,-2/6,0,0"],
+        0,
+        _record(
+            "eta-divisor",
+            '    "exponents": "1/3,-2/6,0,0",\n    "level": 15,\n',
+            '    "coefficients": [\n'
+            + _pairs(("1", "5/36"), ("3", "-5/36"), ("5", "1/36"), ("15", "-1/36"))
+            + "\n    ]\n",
+        ),
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, code, out",
-    [
-        (["cusp-order", "--level", "15", "--divisor", "1/2,0,0,-1/2"], 1, ""),
-        (["cusp-order", "--level", "30", "--divisor", "2/4,-1/2,0,0,0,0,0,0"], 1, ""),
-        (["cusp-order", "--level", "14", "--divisor", "1/2,0,-1/2,0", "--project-2-old"], 1, ""),
-        (
-            ["cusp-order", "--level", "30", "--divisor", "1,0,0,0,0,0,0,-1"],
-            0,
-            _record(
-                "cusp-order",
-                '    "divisor": "1,0,0,0,0,0,0,-1",\n    "level": 30,\n'
-                '    "project_2_old": false,\n',
-                '    "order": 24,\n    "principal": false\n',
-            ),
-        ),
-        (
-            ["cusp-order", "--level", "14", "--divisor", "2,0,-1,-1", "--project-2-old"],
-            0,
-            _record(
-                "cusp-order",
-                '    "divisor": "2,0,-1,-1",\n    "level": 14,\n    "project_2_old": true,\n',
-                '    "order": 1,\n    "principal": true,\n    "projected_coefficients": [\n'
-                + _pairs(("1", "2"), ("7", "-2"))
-                + '\n    ],\n    "projected_level": 7\n',
-            ),
-        ),
-        (
-            ["eta-check", "--level", "11", "--exponents", "1/2,-1/2"],
-            0,
-            _record(
-                "eta-check",
-                '    "exponents": "1/2,-1/2",\n    "level": 11,\n',
-                '    "failed_conditions": [\n      1,\n      2,\n      3\n    ],\n'
-                '    "ok": false\n',
-            ),
-        ),
-        (
-            ["eta-check", "--level", "15", "--exponents", "1/3,-2/6,0,0"],
-            0,
-            _record(
-                "eta-check",
-                '    "exponents": "1/3,-2/6,0,0",\n    "level": 15,\n',
-                '    "failed_conditions": [\n      1,\n      2,\n      3\n    ],\n'
-                '    "ok": false\n',
-            ),
-        ),
-        (
-            ["eta-divisor", "--level", "11", "--exponents", "2/4,-1/2"],
-            0,
-            _record(
-                "eta-divisor",
-                '    "exponents": "2/4,-1/2",\n    "level": 11,\n',
-                '    "coefficients": [\n' + _pairs(("1", "5/24"), ("11", "-5/24")) + "\n    ]\n",
-            ),
-        ),
-        (
-            ["eta-divisor", "--level", "15", "--exponents", "1/3,-2/6,0,0"],
-            0,
-            _record(
-                "eta-divisor",
-                '    "exponents": "1/3,-2/6,0,0",\n    "level": 15,\n',
-                '    "coefficients": [\n'
-                + _pairs(("1", "5/36"), ("3", "-5/36"), ("5", "1/36"), ("15", "-1/36"))
-                + "\n    ]\n",
-            ),
-        ),
-    ],
-    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+    "argv, code, out", PINNED_DIVISOR_QUERIES, ids=[" ".join(q[0]) for q in PINNED_DIVISOR_QUERIES]
 )
 def test_divisor_output_is_pinned(capsys, argv, code, out):
     got_code, got_out, err = run_cli(capsys, *argv)
