@@ -295,9 +295,11 @@ def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:
 
     Each P_r maps to the cusp labeled by the odd part of r, with
     multiplicity one: 2 is p_0, so index k goes to k >> 1.  Rejects odd
-    levels.
+    levels, and N = 2, whose level N/2 = 1 has no cusp divisors.
     """
     if w.level.n % 2 != 0:
         raise ValueError("2-old projection needs an even level")
+    if w.level.n == 2:
+        raise ValueError("2-old projection needs an even level above 2")
     c = [x + y for x, y in zip(w.c[::2], w.c[1::2])]
     return CuspDivisor._of(SquarefreeLevel.of(w.level.n // 2), c, w.L)

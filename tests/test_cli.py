@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,12 @@ import time
 
 import pytest
 
+from cuspgate import gates
+from cuspgate.arith import factor
 from cuspgate.cli import main
 from cuspgate.curves import WeierstrassModel
-from cuspgate.cusps import SquarefreeLevel
+from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure
+from cuspgate.gates import KNOWN_ODD_NONSEMISTABLE, gate_nonsemistable, gate_squarefree
 from cuspgate.tate import conductor
 
 
@@ -61,6 +65,13 @@ def test_cusp_order_projection(capsys):
     )
     assert doc["result"]["projected_level"] == 7
     assert doc["result"]["projected_coefficients"] == [["1", "1"], ["7", "-1"]]
+
+
+def test_cusp_order_projection_at_level_2_names_the_projection(capsys):
+    code, out, err = run_cli(
+        capsys, "cusp-order", "--level", "2", "--divisor", "1,-1", "--project-2-old"
+    )
+    assert (code, out, err) == (1, "", "error: 2-old projection needs an even level above 2\n")
 
 
 def test_cusp_order_flag_conflicts(capsys):
@@ -156,6 +167,82 @@ def test_gate_pq(capsys):
     doc = run_json(capsys, "gate-pq", "--p", "3", "--q", "11")
     assert doc["result"]["passed"] is True
     assert doc["result"]["data"]["order_minus_plus"] == 1
+
+
+def survey(capsys, lo, hi) -> list:
+    return run_json(capsys, "survey", "--min-level", str(lo), "--max-level", str(hi))["result"]
+
+
+def test_survey_groups_match_the_library(capsys):
+    records = survey(capsys, 2, 120)
+    assert [r["level"] for r in records] == list(range(2, 121))
+    for r in records:
+        n = r["level"]
+        if factor(n).is_squarefree():
+            invs = cuspidal_group_structure(SquarefreeLevel.of(n))
+            assert r["cusp_group"] == {"invariants": list(invs), "order": math.prod(invs)}
+        else:
+            assert r["cusp_group"] is None
+
+
+def test_survey_pass_list_matches_the_gates(capsys):
+    passing = [r["level"] for r in survey(capsys, 2, 200) if r["gate"]["passed"]]
+    expected = [
+        n
+        for n in range(2, 201)
+        if (gate_squarefree(n) if factor(n).is_squarefree() else gate_nonsemistable(n)).passed
+    ]
+    assert expected and passing == expected
+    # non-square-free levels off the whitelist are surveyed too
+    assert any(not factor(n).is_squarefree() and n not in KNOWN_ODD_NONSEMISTABLE for n in passing)
+
+
+def test_survey_records_are_the_gate_and_cusp_group_results(capsys):
+    """One dispatch rule: each record holds what `gate` and `cusp-group` print
+    for its level, and null where `cusp-group` refuses the level."""
+    records = survey(capsys, 1, 300)
+    assert [r["level"] for r in records] == list(range(1, 301))
+    for r in records:
+        level = str(r["level"])
+        assert r["gate"] == run_json(capsys, "gate", "--level", level)["result"]
+        code, out, _ = run_cli(capsys, "cusp-group", "--level", level)
+        assert r["cusp_group"] == (json.loads(out)["result"] if code == 0 else None)
+
+
+def test_survey_one_level_range(capsys):
+    doc = run_json(capsys, "survey", "--min-level", "11", "--max-level", "11")
+    assert doc["input"] == {"max_level": 11, "min_level": 11, "subcommand": "survey"}
+    assert [r["level"] for r in doc["result"]] == [11]
+
+
+@pytest.mark.parametrize(
+    "min_level, max_level, message",
+    [
+        ("0", "10", "--min-level must be at least 1"),
+        ("-5", "10", "--min-level must be at least 1"),
+        ("10", "5", "--max-level must be at least --min-level"),
+        ("2", "1", "--max-level must be at least --min-level"),
+        ("9699690", "9699690", "group structure is limited to levels with at most 7 primes"),
+    ],
+)
+def test_survey_domain_errors_exit_1(capsys, min_level, max_level, message):
+    code, out, err = run_cli(capsys, "survey", "--min-level", min_level, "--max-level", max_level)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_survey_over_the_cap_exits_1_before_any_level(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"gated level {n}")
+
+    monkeypatch.setattr(gates, "gate_squarefree", refuse)
+    monkeypatch.setattr(gates, "gate_nonsemistable", refuse)
+    for lo, hi in [(2, 10_002), (9_000_000, 9_010_000), (1, 10**30)]:
+        code, out, err = run_cli(capsys, "survey", "--min-level", str(lo), "--max-level", str(hi))
+        assert (code, out) == (1, "")
+        assert err == f"error: a survey covers at most 10000 levels, got {hi - lo + 1}\n"
+    # a range at the cap passes the check and reaches the patched gates
+    with pytest.raises(AssertionError, match="gated level 1"):
+        main(["survey", "--min-level", "1", "--max-level", "10000"])
 
 
 def test_tate(capsys):
@@ -281,6 +368,9 @@ def test_reruns_are_byte_identical(capsys):
     a = run_cli(capsys, "tate", "--curve", "0,31,0,240,0", "--p", "2")
     b = run_cli(capsys, "tate", "--curve", "0,31,0,240,0", "--p", "2")
     assert a == b
+    c = run_cli(capsys, "survey", "--min-level", "1", "--max-level", "400")
+    d = run_cli(capsys, "survey", "--min-level", "1", "--max-level", "400")
+    assert c[0] == 0 and c == d
 
 
 def test_jobs_flag_and_env(capsys, monkeypatch):

@@ -99,6 +99,25 @@ SEARCH = st.sampled_from(sorted(SEARCH_BOUNDS)).flatmap(
     )
 )
 
+# ranges below 10^4 of at most 40 levels, some reversed or starting below 1;
+# a huge endpoint only where the range is reversed or longer than the cap, so
+# it is refused before any level is factored
+BIG_LEVELS = [2**61 - 1, 2**64, 10**30, 2**89 - 1]
+SURVEY_RANGES = st.one_of(
+    st.tuples(st.integers(-3, 10**4 - 40), st.integers(-5, 39)).map(lambda r: (r[0], r[0] + r[1])),
+    st.tuples(st.sampled_from(BIG_LEVELS), st.sampled_from([-1, 10**4, -(10**30)])).map(
+        lambda r: (r[0], r[0] + r[1])
+    ),
+    st.tuples(st.integers(-3, 400), st.sampled_from(BIG_LEVELS)),
+)
+SURVEY = st.one_of(
+    SURVEY_RANGES.flatmap(
+        lambda r: argv(opt("--min-level", st.just(str(r[0]))), opt("--max-level", st.just(str(r[1]))))
+    ),
+    argv(opt("--min-level", BAD_INTS), opt("--max-level", INT_TEXT)),
+    argv(opt("--min-level", INT_TEXT), opt("--max-level", BAD_INTS)),
+)
+
 ARGV = {
     "cusp-order": argv(
         opt("--level", LEVELS),
@@ -115,6 +134,7 @@ ARGV = {
     "al-signs": argv(opt("--level", LEVELS), st.sampled_from([[], ["--composite-rule"]])),
     "gate": argv(opt("--level", st.one_of(LEVELS, INT_TEXT))),
     "gate-pq": argv(opt("--p", INT_TEXT), opt("--q", INT_TEXT)),
+    "survey": SURVEY,
     "search": SEARCH,
     "tate": argv(opt("--curve", CURVES), opt("--p", INT_TEXT)),
     "conductor": argv(opt("--curve", CURVES)),
@@ -134,6 +154,7 @@ VALID = {
     "al-signs": ["--level", "105"],
     "gate": ["--level", "36"],
     "gate-pq": ["--p", "3", "--q", "11"],
+    "survey": ["--min-level", "11", "--max-level", "15"],
     "search": ["--family", "z2z4", "--bound", "50", "--jobs", "1", "--csv"],
     "tate": ["--curve", "0,-1,1,-10,-20", "--p", "11"],
     "conductor": ["--curve", "-5,-14,-8,-10,-13"],

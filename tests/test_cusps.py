@@ -536,6 +536,9 @@ def test_2_old_projection():
     assert pushed2.coeff(1) == 2 and pushed2.coeff(7) == 1
     with pytest.raises(ValueError):
         apply_2_old_projection(CuspDivisor.zero(SquarefreeLevel.of(15)))
+    # level 2 / 2 = 1 has no cusp divisors
+    with pytest.raises(ValueError, match="^2-old projection needs an even level above 2$"):
+        apply_2_old_projection(CuspDivisor.from_map(SquarefreeLevel.of(2), {1: 1, 2: -1}))
 
 
 @settings(max_examples=80)

@@ -114,17 +114,28 @@ def loaded():
 
 import cuspgate.cli
 at_import = loaded()
-cuspgate.cli.main(["gate", "--level", "11"])
-print(json.dumps({"import": sorted(at_import), "gate": sorted(loaded() - at_import)}))
+cuspgate.cli.main(sys.argv[1:])
+print(json.dumps({"import": sorted(at_import), "query": sorted(loaded() - at_import)}))
 """
 
 
 def test_cli_import_footprint():
     """`import cuspgate.cli` loads no layer and no process pool; `gate` then
-    adds exactly the two layers it runs."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    footprint = json.loads(proc.stdout.splitlines()[-1])
-    assert footprint == {"import": ["cuspgate.cli"], "gate": ["cuspgate.arith", "cuspgate.gates"]}
+    adds exactly the two layers it runs, and `survey` those two and the
+    cuspidal group's."""
+    queries = {
+        ("gate", "--level", "11"): ["cuspgate.arith", "cuspgate.gates"],
+        ("survey", "--min-level", "1", "--max-level", "40"): [
+            "cuspgate.arith",
+            "cuspgate.cusps",
+            "cuspgate.gates",
+            "cuspgate.lattice",
+        ],
+    }
+    for argv, layers in queries.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        footprint = json.loads(proc.stdout.splitlines()[-1])
+        assert footprint == {"import": ["cuspgate.cli"], "query": layers}, argv
