@@ -224,6 +224,7 @@ def test_survey_one_level_range(capsys):
         ("2", "1", "--max-level must be at least --min-level"),
         ("9699690", "9699690", "group structure is limited to levels with at most 7 primes"),
     ],
+    ids=["0", "-5", "10-5", "2-1", "8-primes"],
 )
 def test_survey_domain_errors_exit_1(capsys, min_level, max_level, message):
     code, out, err = run_cli(capsys, "survey", "--min-level", min_level, "--max-level", max_level)
