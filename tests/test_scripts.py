@@ -1,85 +1,65 @@
-"""scripts/cusp_group_table.py and scripts/gate_survey.py print what the
-library computes, and refuse a level below 1 or an empty range as a usage
-error."""
+"""`cuspgate survey` in the place of the deleted level-range scripts.
 
-import csv
-import importlib.util
-import io
-import math
-from pathlib import Path
+Each former script lives on as one field of a survey record and the library
+function behind it: `scripts/cusp_group_table.py` as `cusp_group`
+(`cusps.cuspidal_group_structure`) and `scripts/gate_survey.py` as `gate`
+(`gates.gate_squarefree` and `gates.gate_nonsemistable`). A level below 1 or
+an empty range is refused with exit 1 and one `error:` line before that
+function runs; the scripts exited 2 on the same ranges."""
+
+import json
 
 import pytest
 
-from cuspgate.arith import factor
-from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure
-from cuspgate.gates import KNOWN_ODD_NONSEMISTABLE, gate_nonsemistable, gate_squarefree
+from cuspgate import cusps, gates
+from cuspgate.cli import main
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+SCRIPTS = {
+    "cusp_group_table": ("cusp_group", [(cusps, "cuspidal_group_structure")]),
+    "gate_survey": ("gate", [(gates, "gate_squarefree"), (gates, "gate_nonsemistable")]),
+}
+SUBCOMMAND = {"cusp_group": "cusp-group", "gate": "gate"}
 
 
-cusp_group_table = load("cusp_group_table")
-gate_survey = load("gate_survey")
+def survey(capsys, min_level, max_level):
+    code = main(["survey", "--min-level", min_level, "--max-level", max_level])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
-def test_cusp_group_table_csv_matches_the_library(capsys):
-    assert cusp_group_table.main(["--csv", "--max-level", "120"]) == 0
-    out = capsys.readouterr().out
-    assert "\r" not in out
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["level", "num_primes", "invariants", "order"]
-    expected = []
-    for n in range(2, 121):
-        if factor(n).is_squarefree():
-            level = SquarefreeLevel.of(n)
-            invs = cuspidal_group_structure(level)
-            expected.append([str(n), str(level.t), ";".join(map(str, invs)), str(math.prod(invs))])
-    assert rows[1:] == expected
+def refuse_calls(monkeypatch, script):
+    for module, name in SCRIPTS[script][1]:
+
+        def refuse(*args, _name=name):
+            raise AssertionError(f"{_name} ran")
+
+        monkeypatch.setattr(module, name, refuse)
 
 
-def test_gate_survey_pass_list_matches_the_gates(capsys):
-    assert gate_survey.main(["--max-level", "200"]) == 0
-    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    passing = [int(n) for n, shape, *_ in lines if shape == "pass"]
-    expected = [
-        n
-        for n in range(2, 201)
-        if (factor(n).is_squarefree() and gate_squarefree(n).passed)
-        or (n in KNOWN_ODD_NONSEMISTABLE and gate_nonsemistable(n).passed)
-    ]
-    assert expected and passing == expected
-
-
-@pytest.mark.parametrize("script", [cusp_group_table, gate_survey], ids=["cusp_group_table", "gate_survey"])
+@pytest.mark.parametrize("script", list(SCRIPTS), ids=list(SCRIPTS))
 @pytest.mark.parametrize("min_level", ["0", "-5"])
-def test_level_below_1_is_a_usage_error(capsys, script, min_level):
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--min-level", min_level, "--max-level", "10"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "Traceback" not in err
-    assert err.splitlines()[-1].endswith(": error: --min-level must be at least 1")
+def test_level_below_1_is_a_usage_error(capsys, monkeypatch, script, min_level):
+    refuse_calls(monkeypatch, script)
+    assert survey(capsys, min_level, "10") == (1, "", "error: --min-level must be at least 1\n")
 
 
-@pytest.mark.parametrize("script", [cusp_group_table, gate_survey], ids=["cusp_group_table", "gate_survey"])
+@pytest.mark.parametrize("script", list(SCRIPTS), ids=list(SCRIPTS))
 @pytest.mark.parametrize("min_level, max_level", [("10", "5"), ("2", "1")])
-def test_max_level_below_min_level_is_a_usage_error(capsys, script, min_level, max_level):
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--min-level", min_level, "--max-level", max_level])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "Traceback" not in err
-    assert err.splitlines()[-1].endswith(": error: --max-level must be at least --min-level")
+def test_max_level_below_min_level_is_a_usage_error(capsys, monkeypatch, script, min_level, max_level):
+    refuse_calls(monkeypatch, script)
+    assert survey(capsys, min_level, max_level) == (
+        1,
+        "",
+        "error: --max-level must be at least --min-level\n",
+    )
 
 
-@pytest.mark.parametrize("script", [cusp_group_table, gate_survey], ids=["cusp_group_table", "gate_survey"])
+@pytest.mark.parametrize("script", list(SCRIPTS), ids=list(SCRIPTS))
 def test_a_one_level_range_is_accepted(capsys, script):
-    assert script.main(["--min-level", "11", "--max-level", "11"]) == 0
-    out, err = capsys.readouterr()
-    assert out.splitlines()[-1].split()[0] == "11"
+    field = SCRIPTS[script][0]
+    code, out, err = survey(capsys, "11", "11")
+    assert (code, err) == (0, "")
+    records = json.loads(out)["result"]
+    assert [r["level"] for r in records] == [11]
+    assert main([SUBCOMMAND[field], "--level", "11"]) == 0
+    assert records[0][field] == json.loads(capsys.readouterr().out)["result"]
