@@ -10,9 +10,12 @@ congruence system mod D (`_principal_residues`) decides principality and
 divisor order.  A vector is integer numerators c over one denominator L,
 so each map runs `_tensor` on c and reduces once, over 24 L or (times 24)
 D L; Fractions are built only when a caller reads `coeffs`.  The group
-structure is read off the same system in coordinates where it is diagonal
-but for t + 1 dense rows (`_congruence_rows`), by one elimination over each
-prime power of D (`lattice.image_invariants`).
+structure is read off the same system in coordinates where it is a
+diagonal and t + 1 dense rows (`_congruence_rows`), by one elimination over
+each prime power of D (`lattice.image_invariants`) that keeps the diagonal
+apart: a diagonal pivot only zeroes its column in the dense rows, and a
+dense pivot turns the diagonal row of its column into a multiple of the
+pivot row, which replaces it; both are unimodular row operations.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .arith import factor, num
 from .lattice import image_invariants
@@ -164,15 +167,26 @@ class EtaVector(DivisorVector):
     __slots__ = ()
 
 
+@cache
+def _plan(t: int) -> tuple[tuple[list[int], list[int]], ...]:
+    """For each bit i below t: the indices k < 2^t without bit i, and the
+    matching k | bit i.  They depend on t alone, so each t builds them once."""
+    lows = ([k for k in range(1 << t) if not k >> i & 1] for i in range(t))
+    return tuple((lo, [k | 1 << i for k in lo]) for i, lo in enumerate(lows))
+
+
 def _tensor(level: SquarefreeLevel, ints: list[int], off: int) -> list[int]:
     """In place: tensor_i [[p_i, off], [off, p_i]] applied to integers."""
-    for i, p in enumerate(level.primes):
-        bit = 1 << i
-        for k in range(len(ints)):
-            if not k & bit:
-                v0, v1 = ints[k], ints[k | bit]
-                ints[k], ints[k | bit] = p * v0 + off * v1, off * v0 + p * v1
+    for p, (lo, hi) in zip(level.primes, _plan(level.t)):
+        for k0, k1 in zip(lo, hi):
+            v0, v1 = ints[k0], ints[k1]
+            ints[k0], ints[k1] = p * v0 + off * v1, off * v0 + p * v1
     return ints
+
+
+def _contractions(level: SquarefreeLevel, c) -> list[int]:
+    """For each prime p_i, the sum of the entries at the divisors divisible by p_i."""
+    return [sum(map(c.__getitem__, hi)) for _, hi in _plan(level.t)]
 
 
 def lambda_forward(v: EtaVector) -> CuspDivisor:
@@ -201,8 +215,7 @@ def _principal_residues(level: SquarefreeLevel, coeffs) -> list[int]:
     12 * sum_{bit_i(k)=1} (K w)_k = 0 (mod D).
     """
     kw = _tensor(level, list(coeffs), -1)
-    contractions = (sum(c for k, c in enumerate(kw) if k >> i & 1) for i in range(level.t))
-    return [24 * c for c in kw] + [12 * c for c in contractions]
+    return [24 * c for c in kw] + [12 * c for c in _contractions(level, kw)]
 
 
 def is_principal(w: CuspDivisor) -> bool:
@@ -246,8 +259,10 @@ def ogg_order(level: SquarefreeLevel, signs) -> int:
     return num(Fraction(prod, 24))
 
 
-def _congruence_rows(level: SquarefreeLevel) -> list[list[int]]:
-    """Rows C with C y = 0 (mod D) exactly on the principal divisors.
+def _congruence_rows(level: SquarefreeLevel) -> tuple[list[int], list[list[int]]]:
+    """Rows C with C y = 0 (mod D) exactly on the principal divisors, as the
+    diagonal 24 lam_S (S nonempty) and the t + 1 dense rows: the degree row,
+    then the t contractions.
 
     Each block [[p,-1],[-1,p]] of K is E^-1 diag(1, p^2-1) F^-1, with
     E^-1 = [[-1,0],[p,1]] and F = [[0,1],[1,p]] unimodular.  In y =
@@ -262,12 +277,10 @@ def _congruence_rows(level: SquarefreeLevel) -> list[list[int]]:
     delta = _products((1, p + 1) for p in primes)
     size = len(lam)
     rows = [[-24 * d for d in delta[1:]]]
-    for s in range(1, size):
-        rows.append([24 * lam[s] if k == s else 0 for k in range(1, size)])
     for i in range(level.t):
         rho = _products((p if j == i else p - 1, 1) for j, p in enumerate(primes))
         rows.append([12 * (rho[s] * lam[s] - rho[0] * delta[s]) for s in range(1, size)])
-    return rows
+    return [24 * x for x in lam[1:]], rows
 
 
 def _modulus_prime_powers(level: SquarefreeLevel) -> list[tuple[int, int]]:
@@ -287,7 +300,8 @@ def cuspidal_group_structure(level: SquarefreeLevel) -> tuple[int, ...]:
     `_congruence_rows`) in (Z/D)^rows."""
     if level.t > 7:
         raise ValueError("group structure is limited to levels with at most 7 primes")
-    return image_invariants(_congruence_rows(level), _modulus_prime_powers(level))
+    diag, rows = _congruence_rows(level)
+    return image_invariants(rows, _modulus_prime_powers(level), diag)
 
 
 def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cusps import CuspDivisor, EtaVector, lambda_forward
+from .cusps import CuspDivisor, EtaVector, _contractions, lambda_forward
 
 
 def divisor_of_eta_quotient(r: EtaVector) -> CuspDivisor:
@@ -51,8 +51,6 @@ def ligozat_check(r: EtaVector) -> LigozatVerdict:
         failed.append(4)
     if L == 1:
         # prod d^(r_d) is a square iff each prime occurs to an even power
-        for i in range(level.t):
-            if sum(x for k, x in enumerate(c) if k >> i & 1) % 2:
-                failed.append(5)
-                break
+        if any(s % 2 for s in _contractions(level, c)):
+            failed.append(5)
     return LigozatVerdict(not failed, tuple(failed))

@@ -97,17 +97,18 @@ def test_criterion_02b_group_structures_at_many_primes():
 
 
 def test_criterion_02c_group_structures_at_seven_primes():
-    """The declared domain ends at 7 primes: 510510 and 570570 finish under a
-    one-second budget together and match the former Smith reduction mod D on
-    the generic congruence rows; 8 primes are refused."""
-    levels = [SquarefreeLevel.of(n) for n in (510510, 570570)]
-    with budget(1) as clock:
+    """The declared domain ends at 7 primes: 510510, 570570 and the odd
+    4849845 finish under a quarter-second budget together and match the
+    former Smith reduction mod D on the generic congruence rows; 8 primes
+    are refused."""
+    levels = [SquarefreeLevel.of(n) for n in (510510, 570570, 4849845)]
+    with budget(0.25) as clock:
         structures = [cuspidal_group_structure(level) for level in levels]
     for level, struct in zip(levels, structures):
         assert struct == group_structure(*cusps_oracle.congruence_rows(level)), level.n
     with pytest.raises(ValueError, match="at most 7 primes"):
         cuspidal_group_structure(SquarefreeLevel.of(9699690))
-    print(f"PASS criterion 2c: cuspidal groups at 510510 and 570570 in {clock.elapsed:.2f}s")
+    print(f"PASS criterion 2c: cuspidal groups at 510510, 570570 and 4849845 in {clock.elapsed:.2f}s")
 
 
 def test_criterion_03_eta_acceptance_equals_principality():

@@ -14,7 +14,9 @@ from cuspgate.cusps import (
     EtaVector,
     SquarefreeLevel,
     _congruence_rows,
+    _contractions,
     _modulus,
+    _tensor,
     apply_2_old_projection,
     cuspidal_group_structure,
     divisor_order,
@@ -369,14 +371,34 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+@pytest.mark.parametrize("n", [3, 15, 105, 1155, 15015, 255255, 4849845])
+@pytest.mark.parametrize("off", [1, -1])
+def test_tensor_and_contractions_match_kron(n, off):
+    """_tensor is the matrix kron([[p_i, off], [off, p_i]]) on integer vectors,
+    for t = 1..7, and _contractions sums the entries at the indices with bit i."""
+    level = SquarefreeLevel.of(n)
+    K = kron([[[p, off], [off, p]] for p in level.primes])
+    size = 1 << level.t
+    for seed in range(3):
+        v = [(seed * 7919 + 104729 * k * k) % 201 - 100 for k in range(size)]
+        assert _tensor(level, list(v), off) == [sum(a * b for a, b in zip(row, v)) for row in K]
+        assert _contractions(level, v) == [sum(x for k, x in enumerate(v) if k >> i & 1) for i in range(level.t)]
+
+
 def test_congruence_rows_match_entrywise_oracle():
     """C = (tensor E_p + I_t) C_generic V, exactly over Z: E_p = [[-1,0],[p,1]]
     and column S of V is (tensor F_p)(e_S - delta_S e_{}) with F_p = [[0,1],[1,p]],
     less its entry at d = 1.  Both factors are unimodular, so the two row sets
-    present the same group."""
+    present the same group.  C is rebuilt from the diagonal and the dense rows
+    in the order degree row, diagonal rows, contractions."""
     levels = [n for n in range(2, 3000) if factor(n).is_squarefree()]
     for n in levels:
         L = SquarefreeLevel.of(n)
+        diag, dense = _congruence_rows(L)
+        assert len(dense) == L.t + 1
+        assert all(len(row) == len(diag) for row in dense)
+        diagonal_rows = [[d if k == s else 0 for k in range(len(diag))] for s, d in enumerate(diag)]
+        full = dense[:1] + diagonal_rows + dense[1:]
         generic, D = cusps_oracle.congruence_rows(L)
         assert D == _modulus(L)
         size = 1 << L.t
@@ -388,7 +410,7 @@ def test_congruence_rows_match_entrywise_oracle():
         for s in range(1, size):
             delta = math.prod(p + 1 for i, p in enumerate(L.primes) if s >> i & 1)
             V.append([F[k][s] - delta * F[k][0] for k in range(1, size)])
-        assert _congruence_rows(L) == matmul(matmul(left, generic), list(map(list, zip(*V)))), n
+        assert full == matmul(matmul(left, generic), list(map(list, zip(*V)))), n
 
 
 def test_group_structure_matches_modular_smith_oracle():

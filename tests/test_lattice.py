@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspgate.lattice import image_invariants
 from lattice_oracle import kernel_basis, lattice_index, modular_smith_normal_form, row_hnf, smith_normal_form
@@ -189,3 +189,41 @@ def test_modular_smith_oracle_matches_integer_smith(rows, m):
     assert modular_smith_normal_form(rows, m) == [math.gcd(d, m) for d in diag]
     with pytest.raises(ValueError):
         modular_smith_normal_form(rows, 0)
+
+
+
+def diagonal_and_dense(powers):
+    """A diagonal of width 1..4, some entries = 0 mod an l^a of `powers` or
+    mod their product, and 0..3 dense rows of that width."""
+    moduli = [ell**a for ell, a in powers] + [math.prod(ell**a for ell, a in powers)]
+    entry = st.one_of(st.integers(-12, 12), st.tuples(st.sampled_from(moduli), st.integers(-2, 2)).map(math.prod))
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(entry, min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=3),
+            st.just(powers),
+        )
+    )
+
+
+# the integer Smith oracle's entries blow up past any budget on some 7 x 4
+# matrices with entries near 10^4, so the moduli stay at most 15^2 here
+small_prime_powers = st.lists(
+    st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 2)), max_size=2, unique_by=lambda pa: pa[0]
+)
+
+
+@settings(max_examples=300)
+@given(small_prime_powers.flatmap(diagonal_and_dense))
+@example(([0, 6, 0], [[1, 2, 3], [0, 4, 8]], [(2, 3), (3, 2)]))  # zero diagonal entries
+@example(([16, -32, 5, 80], [[2, 6, 5, 1], [4, 0, 2, 8]], [(2, 4), (5, 1)]))  # entries = 0 mod l^a
+@example(([4, 6, 9, 1], [], [(2, 2), (3, 2)]))  # no dense rows
+@example(([4, 0], [[2, 2]], [(2, 3)]))  # a dense pivot leaves (4 / 2) times its row
+def test_diagonal_elimination_matches_integer_smith(case):
+    """With a diagonal, the elimination gives what the integer Smith diagonal
+    of the stacked matrix (diagonal rows, then dense rows) gives."""
+    diag, rows, powers = case
+    stacked = [[d if k == s else 0 for k in range(len(diag))] for s, d in enumerate(diag)] + rows
+    D = math.prod(ell**a for ell, a in powers)
+    want = sorted(D // math.gcd(d, D) for d in smith_normal_form(stacked))
+    assert list(image_invariants(rows, powers, diag)) == [q for q in want if q > 1]
