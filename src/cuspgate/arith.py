@@ -225,6 +225,17 @@ def factor(n: int) -> Factorization:
     return Factorization._of_proven_primes(n, tuple(sorted(found.items())))
 
 
+def factor_level(level: int | Factorization, least: int = 1) -> Factorization:
+    """A level given as an int or as its Factorization, refused below `least`
+    before anything is factored; `factor` runs only on an int."""
+    fac = level if isinstance(level, Factorization) else None
+    n = level if fac is None else fac.n
+    if n < least:
+        what = f"at least {least}" if least > 1 else "a positive integer"
+        raise ValueError(f"level must be {what}")
+    return factor(n) if fac is None else fac
+
+
 class PrimeSieve:
     """The smallest prime factor of every n <= limit, held in one array('I'),
     for scans that factor every number of a range."""

@@ -10,13 +10,15 @@ Each subcommand imports only the layers it runs, inside its handler, so a
 query pays the start-up cost of what it uses: `gate` loads `arith` and
 `gates`, `cusp-group` loads `cusps` (and the `lattice` it calls), `survey`
 loads those four, and only `search --jobs N` with N > 1 loads
-`multiprocessing`.
+`multiprocessing`.  `gate` and `survey` factor each level once and hand its
+`Factorization` to the gate and to the cuspidal group.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -25,6 +27,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 
 if TYPE_CHECKING:
+    from .arith import Factorization
     from .curves import WeierstrassModel
     from .cusps import SquarefreeLevel
 
@@ -127,15 +130,11 @@ def _cmd_cusp_order(args) -> dict:
     return {"order": divisor_order(w), "principal": is_principal(w)}
 
 
-def _cusp_group(n: int) -> dict:
+def _cusp_group(level: int | Factorization) -> dict:
     from .cusps import SquarefreeLevel, cuspidal_group_structure
 
-    level = SquarefreeLevel.of(n)
-    invariants = cuspidal_group_structure(level)
-    order = 1
-    for d in invariants:
-        order *= d
-    return {"invariants": list(invariants), "order": order}
+    invariants = cuspidal_group_structure(SquarefreeLevel.of(level))
+    return {"invariants": list(invariants), "order": math.prod(invariants)}
 
 
 def _cmd_cusp_group(args) -> dict:
@@ -185,29 +184,25 @@ def _cmd_al_signs(args) -> dict:
     }
 
 
-def _gate(n: int) -> dict:
-    from .arith import factor
+def _verdict_dict(verdict) -> dict:
+    return {"data": dict(verdict.data), "passed": verdict.passed, "reasons": list(verdict.reasons)}
+
+
+def _gate(fac: Factorization) -> dict:
     from .gates import gate_nonsemistable, gate_squarefree
 
-    if n >= 2 and not factor(n).is_squarefree():
-        verdict = gate_nonsemistable(n)
-        which = "nonsemistable"
-    else:
-        verdict = gate_squarefree(n)
-        which = "squarefree"
-    return {
-        "data": dict(verdict.data),
-        "gate": which,
-        "passed": verdict.passed,
-        "reasons": list(verdict.reasons),
-    }
+    if fac.is_squarefree():
+        return {"gate": "squarefree", **_verdict_dict(gate_squarefree(fac))}
+    return {"gate": "nonsemistable", **_verdict_dict(gate_nonsemistable(fac))}
 
 
 def _cmd_gate(args) -> dict:
-    return _gate(args.level)
+    from .arith import factor_level
+
+    return _gate(factor_level(args.level))
 
 
-# a level costs about 0.2 ms below 10^4 and 0.4 ms near 10^7, and prints about
+# a level costs about 0.1 ms below 10^4 and 0.2 ms near 10^7, and prints about
 # 400 bytes: the cap holds a survey to a few seconds and a few MB
 _SURVEY_MAX_LEVELS = 10_000
 
@@ -220,26 +215,20 @@ def _cmd_survey(args) -> list:
         raise ValueError("--max-level must be at least --min-level")
     if hi - lo >= _SURVEY_MAX_LEVELS:
         raise ValueError(f"a survey covers at most {_SURVEY_MAX_LEVELS} levels, got {hi - lo + 1}")
+    from .arith import factor
+
     records = []
-    for n in range(lo, hi + 1):
-        gate = _gate(n)
-        # the gate's dispatch already knows whether n is square-free
-        square_free = n >= 2 and gate["gate"] == "squarefree"
-        records.append(
-            {"cusp_group": _cusp_group(n) if square_free else None, "gate": gate, "level": n}
-        )
+    for fac in map(factor, range(lo, hi + 1)):  # the one factorization of each level
+        gate = _gate(fac)
+        cusp_group = _cusp_group(fac) if fac.n >= 2 and fac.is_squarefree() else None
+        records.append({"cusp_group": cusp_group, "gate": gate, "level": fac.n})
     return records
 
 
 def _cmd_gate_pq(args) -> dict:
     from .gates import gate_pq_refined
 
-    verdict = gate_pq_refined(args.p, args.q)
-    return {
-        "data": dict(verdict.data),
-        "passed": verdict.passed,
-        "reasons": list(verdict.reasons),
-    }
+    return _verdict_dict(gate_pq_refined(args.p, args.q))
 
 
 # each entry takes the `searches` module, which _cmd_search imports, and the args

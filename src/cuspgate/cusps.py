@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .arith import factor, num
+from .arith import Factorization, factor, factor_level, num
 from .lattice import image_invariants
 
 
@@ -43,13 +43,12 @@ class SquarefreeLevel:
     primes: tuple[int, ...]
 
     @staticmethod
-    def of(n: int) -> "SquarefreeLevel":
-        if n < 2:
-            raise ValueError("level must be at least 2")
-        fac = factor(n)
+    def of(level: int | Factorization) -> "SquarefreeLevel":
+        """The level N, given as an int or, already factored, as its `Factorization`."""
+        fac = factor_level(level, 2)
         if not fac.is_squarefree():
-            raise ValueError(f"level {n} is not square-free")
-        return SquarefreeLevel(n, fac.primes())
+            raise ValueError(f"level {fac.n} is not square-free")
+        return SquarefreeLevel(fac.n, fac.primes())
 
     @property
     def t(self) -> int:
@@ -308,12 +307,13 @@ def apply_2_old_projection(w: CuspDivisor) -> CuspDivisor:
     """Pushforward of a cusp divisor at even N to level N/2.
 
     Each P_r maps to the cusp labeled by the odd part of r, with
-    multiplicity one: 2 is p_0, so index k goes to k >> 1.  Rejects odd
-    levels, and N = 2, whose level N/2 = 1 has no cusp divisors.
+    multiplicity one: 2 is p_0, so index k goes to k >> 1, and level N/2
+    has the other primes, with nothing to factor.  Rejects odd levels, and
+    N = 2, whose level N/2 = 1 has no cusp divisors.
     """
     if w.level.n % 2 != 0:
         raise ValueError("2-old projection needs an even level")
     if w.level.n == 2:
         raise ValueError("2-old projection needs an even level above 2")
     c = [x + y for x, y in zip(w.c[::2], w.c[1::2])]
-    return CuspDivisor._of(SquarefreeLevel.of(w.level.n // 2), c, w.L)
+    return CuspDivisor._of(SquarefreeLevel(w.level.n // 2, w.level.primes[1:]), c, w.L)

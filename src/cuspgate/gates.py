@@ -3,7 +3,7 @@
 Each gate returns a GateVerdict rather than a bare bool so callers (and the
 CLI) can see which congruence condition decided the answer.  A gate passing
 means "not excluded by these parity obstructions" -- it is never a proof of
-oddness.
+oddness.  The level gates take N as an int or, factored, as its `Factorization`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor, is_prime, num
+from .arith import Factorization, factor_level, is_prime, num
 
 
 @dataclass(frozen=True)
@@ -25,18 +25,17 @@ class GateVerdict:
         return dict(self.data)
 
 
-def gate_squarefree(n: int) -> GateVerdict:
+def gate_squarefree(level: int | Factorization) -> GateVerdict:
     """Parity gate for square-free levels.
 
     Prime levels pass outright; N = 2p passes iff p mod 16 lies in {5,7,13};
     odd N = pq passes iff for some ordering p = +-3 (mod 8) and q = 3 (mod 4);
     three or more prime factors force an even congruence number.
     """
-    if n < 1:
-        raise ValueError("level must be a positive integer")
+    fac = factor_level(level)
+    n = fac.n
     if n == 1:
         return GateVerdict(n, False, ("level 1 carries no elliptic quotient",))
-    fac = factor(n)
     if not fac.is_squarefree():
         raise ValueError(f"{n} is not square-free; use gate_nonsemistable")
     primes = fac.primes()
@@ -116,16 +115,15 @@ def gate_pq_refined(p: int, q: int) -> GateVerdict:
 KNOWN_ODD_NONSEMISTABLE = (27, 32, 36, 49, 243)
 
 
-def gate_nonsemistable(n: int) -> GateVerdict:
+def gate_nonsemistable(level: int | Factorization) -> GateVerdict:
     """Shape gate for levels that are not square-free.
 
     Passes iff N = 2^a, or N = 2^c * p^s with p odd and 2-part 2^c in
     {1, 4, 8}.  The verdict also reports membership in the short list of
     levels known to have odd congruence number.
     """
-    if n < 2:
-        raise ValueError("level must be at least 2")
-    fac = factor(n)
+    fac = factor_level(level, 2)
+    n = fac.n
     if fac.is_squarefree():
         raise ValueError(f"{n} is square-free; use gate_squarefree")
     c = fac.pairs[0][1] if fac.pairs[0][0] == 2 else 0

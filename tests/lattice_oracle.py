@@ -2,8 +2,10 @@
 
 Row Hermite form, integer kernels, Smith reduction over Z and the Hermite
 index: the chain `cuspidal_group_structure` used before it switched to one
-Smith reduction modulo D.  Entries grow without bound, so these only finish
-on small inputs; the suite compares the library against them there.
+Smith reduction modulo D.  The Hermite form's and the kernels' entries grow
+without bound, so the chain only finishes on small inputs; the suite
+compares the library against it there.  The Smith form reduces by rounded
+quotients, which keeps its entries bounded.
 
 `modular_smith_normal_form` is that Smith reduction modulo D: extended-gcd
 row and column operations with entries kept in [0, D), the library's path
@@ -75,60 +77,55 @@ def kernel_basis(mat: list[list[int]], ncols: int) -> list[list[int]]:
     return [row[nrows:] for row in reduced if all(v == 0 for v in row[:nrows])]
 
 
+def _nearest(a: int, b: int) -> int:
+    """The integer q nearest a / b, so that |a - q*b| <= |b| / 2."""
+    q, r = divmod(a, b)  # r has b's sign and |r| < |b|
+    return q + 1 if 2 * abs(r) > abs(b) else q
+
+
 def smith_normal_form(mat: list[list[int]]) -> list[int]:
-    """Diagonal d1 | d2 | ... of the Smith normal form (nonneg ints)."""
+    """Diagonal d1 | d2 | ... of the Smith normal form (nonneg ints).
+
+    Each round pivots on the least nonzero |entry| of the trailing block and
+    reduces the pivot's row and column by rounded quotients.  A round that
+    leaves a nonzero entry there leaves one of at most half the pivot's size,
+    so each pivot takes O(log) rounds and the entries stay bounded.
+    """
     A = [list(r) for r in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     diag = []
     t = 0
     while t < min(m, n):
-        # smallest nonzero pivot in the trailing submatrix
-        pr = pc = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
+        _, pr, pc = min(
+            ((abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]),
+            default=(0, None, None),
+        )
         if pr is None:
             break
         A[t], A[pr] = A[pr], A[t]
         for row in A:
             row[t], row[pc] = row[pc], row[t]
-        while True:
-            changed = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    for j in range(t, n):
-                        A[i][j] -= q * A[t][j]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        changed = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for i in range(t, m):
-                        A[i][j] -= q * A[i][t]
-                    if A[t][j]:
-                        for i in range(t, m):
-                            A[i][t], A[i][j] = A[i][j], A[i][t]
-                        changed = True
-            if changed:
-                continue
-            # pivot must divide every remaining entry
-            bad = None
-            for i in range(t + 1, m):
-                if any(A[i][j] % A[t][t] for j in range(t + 1, n)):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            for j in range(t, n):
-                A[t][j] += A[bad][j]
-        diag.append(abs(A[t][t]))
-        t += 1
+        p = A[t][t]
+        for i in range(t + 1, m):
+            q = _nearest(A[i][t], p)
+            if q:
+                A[i][t:] = [x - q * y for x, y in zip(A[i][t:], A[t][t:])]
+        for j in range(t + 1, n):
+            q = _nearest(A[t][j], p)
+            if q:
+                for row in A[t:]:
+                    row[j] -= q * row[t]
+        if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1 :]):
+            continue  # a remainder below the pivot's size is the next pivot
+        # the pivot must divide every remaining entry; else add a row that it
+        # does not divide into the pivot row, whose reduction then leaves a remainder
+        bad = next((i for i in range(t + 1, m) if any(x % p for x in A[i][t + 1 :])), None)
+        if bad is None:
+            diag.append(abs(p))
+            t += 1
+        else:
+            A[t] = [x + y for x, y in zip(A[t], A[bad])]
     return diag
 
 

@@ -231,9 +231,46 @@ def test_survey_domain_errors_exit_1(capsys, min_level, max_level, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def _count_factor_calls(monkeypatch) -> list:
+    """Route every module's binding of `arith.factor` through one recorder."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspgate") and getattr(module, "factor", None) is factor:
+            monkeypatch.setattr(module, "factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 300), (9_000_000, 9_000_200)])
+def test_survey_factors_each_level_once(capsys, monkeypatch, lo, hi):
+    """One factor(n) per level, and p - 1 and p + 1 for each prime p of a
+    square-free level >= 2, whose cuspidal group needs D's prime powers."""
+    want = []
+    for n in range(lo, hi + 1):
+        fac = factor(n)
+        want.append(n)
+        if n >= 2 and fac.is_squarefree():
+            want += [m for p in fac.primes() for m in (p - 1, p + 1)]
+    calls = _count_factor_calls(monkeypatch)
+    survey(capsys, lo, hi)
+    assert sorted(calls) == sorted(want)
+
+
+@pytest.mark.parametrize("level", [1, 2, 11, 12, 30, 510510, 9_000_000])
+def test_gate_factors_its_level_once(capsys, monkeypatch, level):
+    calls = _count_factor_calls(monkeypatch)
+    run_json(capsys, "gate", "--level", str(level))
+    assert calls == [level]
+
+
 def test_survey_over_the_cap_exits_1_before_any_level(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"gated level {n}")
+    def refuse(level):
+        # the survey passes each level as its Factorization
+        raise AssertionError(f"gated level {getattr(level, 'n', level)}")
 
     monkeypatch.setattr(gates, "gate_squarefree", refuse)
     monkeypatch.setattr(gates, "gate_nonsemistable", refuse)

@@ -563,6 +563,15 @@ def test_2_old_projection():
         apply_2_old_projection(CuspDivisor.from_map(SquarefreeLevel.of(2), {1: 1, 2: -1}))
 
 
+def test_2_old_projection_level_is_the_level_of_n_over_2():
+    """The projection builds level N/2 from N's primes without factoring;
+    it is the level `SquarefreeLevel.of(N // 2)` factors."""
+    for n in range(6, 3000, 2):
+        if factor(n).is_squarefree():
+            w = CuspDivisor.zero(SquarefreeLevel.of(n))
+            assert apply_2_old_projection(w).level == SquarefreeLevel.of(n // 2), n
+
+
 @settings(max_examples=80)
 @given(rational_vector(SquarefreeLevel.of(30)))
 def test_2_old_projection_is_linear_and_degree_preserving(coeffs):

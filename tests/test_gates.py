@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atkin_lehner_oracle import is_qr
-from cuspgate.arith import is_prime
+from cuspgate.arith import factor, is_prime
+from cuspgate.cusps import SquarefreeLevel
 from cuspgate.gates import (
     KNOWN_ODD_NONSEMISTABLE,
     gate_nonsemistable,
@@ -149,8 +150,6 @@ def test_gate_nonsemistable_validation():
 @settings(max_examples=200)
 @given(st.integers(2, 10**5))
 def test_gate_dispatch_covers_every_level(n):
-    from cuspgate.arith import factor
-
     if factor(n).is_squarefree():
         verdict = gate_squarefree(n)
         with pytest.raises(ValueError):
@@ -202,3 +201,23 @@ def test_gate_nonsemistable_matches_trial_division_below_5000():
             assert g.reasons[0] == f"N = {2**c} * {p}^{s} with admissible 2-part"
         elif len(odd) > 1:
             assert g.reasons[0].startswith(f"odd part {m} has {len(odd)} prime factors")
+
+
+def _outcome(f, level):
+    """What f gives on a level: its result, or the type and message it raises."""
+    try:
+        return f(level)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [gate_squarefree, gate_nonsemistable, SquarefreeLevel.of],
+    ids=["gate_squarefree", "gate_nonsemistable", "SquarefreeLevel.of"],
+)
+def test_int_and_factorization_entries_agree(entry):
+    """Each level entry point gives the same verdict or level, or raises the
+    same message, whether it is passed n or factor(n)."""
+    for n in [*range(1, 3000), 30030, 510510, 4849845]:
+        assert _outcome(entry, n) == _outcome(entry, factor(n)), n

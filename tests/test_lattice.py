@@ -193,11 +193,11 @@ def test_modular_smith_oracle_matches_integer_smith(rows, m):
 
 
 def diagonal_and_dense(powers):
-    """A diagonal of width 1..4, some entries = 0 mod an l^a of `powers` or
+    """A diagonal of width 1..5, some entries = 0 mod an l^a of `powers` or
     mod their product, and 0..3 dense rows of that width."""
     moduli = [ell**a for ell, a in powers] + [math.prod(ell**a for ell, a in powers)]
     entry = st.one_of(st.integers(-12, 12), st.tuples(st.sampled_from(moduli), st.integers(-2, 2)).map(math.prod))
-    return st.integers(1, 4).flatmap(
+    return st.integers(1, 5).flatmap(
         lambda n: st.tuples(
             st.lists(entry, min_size=n, max_size=n),
             st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=3),
@@ -206,10 +206,8 @@ def diagonal_and_dense(powers):
     )
 
 
-# the integer Smith oracle's entries blow up past any budget on some 7 x 4
-# matrices with entries near 10^4, so the moduli stay at most 15^2 here
 small_prime_powers = st.lists(
-    st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 2)), max_size=2, unique_by=lambda pa: pa[0]
+    st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4)), max_size=2, unique_by=lambda pa: pa[0]
 )
 
 
@@ -219,6 +217,13 @@ small_prime_powers = st.lists(
 @example(([16, -32, 5, 80], [[2, 6, 5, 1], [4, 0, 2, 8]], [(2, 4), (5, 1)]))  # entries = 0 mod l^a
 @example(([4, 6, 9, 1], [], [(2, 2), (3, 2)]))  # no dense rows
 @example(([4, 0], [[2, 2]], [(2, 3)]))  # a dense pivot leaves (4 / 2) times its row
+@example(  # floor quotients with no size reduction grew its entries to 15 million bits
+    (
+        [-625, -625, -1250, 625, -1250],
+        [[9, -8, 3, -2, -8], [-3, -3, 4, -7, 3], [2, 9, 3, 7, -9]],
+        [(2, 1), (5, 4)],
+    )
+)
 def test_diagonal_elimination_matches_integer_smith(case):
     """With a diagonal, the elimination gives what the integer Smith diagonal
     of the stacked matrix (diagonal rows, then dense rows) gives."""
