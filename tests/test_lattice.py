@@ -217,7 +217,7 @@ small_prime_powers = st.lists(
 @example(([16, -32, 5, 80], [[2, 6, 5, 1], [4, 0, 2, 8]], [(2, 4), (5, 1)]))  # entries = 0 mod l^a
 @example(([4, 6, 9, 1], [], [(2, 2), (3, 2)]))  # no dense rows
 @example(([4, 0], [[2, 2]], [(2, 3)]))  # a dense pivot leaves (4 / 2) times its row
-@example(  # floor quotients with no size reduction grew its entries to 15 million bits
+@example(  # entries blow up here unless each step reduces by rounded quotients
     (
         [-625, -625, -1250, 625, -1250],
         [[9, -8, 3, -2, -8], [-3, -3, 4, -7, 3], [2, 9, 3, 7, -9]],
