@@ -2,16 +2,18 @@
 
 All arithmetic is exact (int / fractions.Fraction).  A model is the tuple
 (a1,a2,a3,a4,a6) of y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 and is
-required to be nonsingular (disc != 0).  A coordinate change with u = 1 is
-a polynomial in the coefficients and (r, s, t), so it stays in int when they
-are integers; only u != 1 divides, exactly, through Fraction.
+required to be nonsingular (disc != 0).  Its discriminant is computed once,
+when the model is built, and kept as the attribute `disc`, which is not a
+field, so equality, hashing and the repr read the coefficients alone.  A
+coordinate change with u = 1 is a polynomial in the coefficients and
+(r, s, t), so it stays in int when they are integers; only u != 1 divides,
+exactly, through Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isqrt, lcm
 
 Coeff = int | Fraction
@@ -36,9 +38,14 @@ class WeierstrassModel:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, _norm(getattr(self, name)))
-        if self.disc == 0:
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, _norm(value))
+        # computed once, here: a zero is refused, and the conductor reads it
+        disc = _discriminant(_b_invariants(self.coefficients()))
+        if disc == 0:
             raise ValueError("singular model (discriminant zero)")
+        object.__setattr__(self, "disc", disc)
 
     # -- standard invariants, by the formulas on the coefficient tuple ------
     b2 = property(lambda self: _b_invariants(self.coefficients())[0])
@@ -47,11 +54,6 @@ class WeierstrassModel:
     b8 = property(lambda self: _b_invariants(self.coefficients())[3])
     c4 = property(lambda self: _c_invariants(_b_invariants(self.coefficients()))[0])
     c6 = property(lambda self: _c_invariants(_b_invariants(self.coefficients()))[1])
-
-    @cached_property
-    def disc(self) -> Coeff:
-        # computed once: __post_init__ rejects a zero, and the conductor factors it
-        return _discriminant(_b_invariants(self.coefficients()))
 
     def j_invariant(self) -> Fraction:
         return Fraction(self.c4 ** 3, self.disc)
@@ -240,10 +242,11 @@ def _rational_cubic_roots(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
 
     X = c3 x turns the cubic into the monic g(X) = X^3 + a X^2 + b X + c
     with a = c2, b = c1 c3, c = c0 c3^2, whose rational roots are integers.
-    g is monotone on each side of its critical points
-    (-a -+ sqrt(a^2 - 3b)) / 3, so each piece holds at most one integer
-    root, found by bisection inside Fujiwara's bound
-    |X| <= 2 max(|a|, |b|^(1/2), |c/2|^(1/3)); no coefficient is factored.
+    They lie inside Fujiwara's bound |X| <= 2 max(|a|, |b|^(1/2), |c/2|^(1/3)).
+    The floors of the inflection -a/3 and of the critical points
+    (-a -+ sqrt(a^2 - 3b)) / 3 cut the integers there into parts on which g
+    is monotone and either convex or concave, so each part holds at most
+    one root, which `_part_root` finds; no coefficient is factored.
     """
     if c3 == 0:
         raise ValueError("leading coefficient must be nonzero")
@@ -252,31 +255,67 @@ def _rational_cubic_roots(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
     def g(x: int) -> int:
         return ((x + a) * x + b) * x + c
 
+    def dg(x: int) -> int:
+        return (3 * x + 2 * a) * x + b
+
     bound = 2 * max(
         abs(a), 1 << (abs(b).bit_length() + 1) // 2, 1 << (abs(c).bit_length() + 2) // 3
     )
+    cuts = {-a // 3}
     q = a * a - 3 * b
-    if q <= 0:  # g is increasing
-        pieces = [(-bound, bound, 1)]
-    else:
+    if q > 0:
         s = isqrt(q)
         # floors of the critical points, exact for irrational sqrt(q) too
-        lo = (-a - s - (s * s != q)) // 3
-        hi = (-a + s) // 3
-        pieces = [(-bound, lo, 1), (lo + 1, hi, -1), (hi + 1, bound, 1)]
+        cuts |= {(-a - s - (s * s != q)) // 3, (-a + s) // 3}
+    ends = [-bound - 1, *sorted(x for x in cuts if -bound <= x < bound), bound]
     roots = []
-    for start, stop, sign in pieces:
-        if start > stop or sign * g(start) > 0 or sign * g(stop) < 0:
-            continue
-        while start < stop:  # least x in the piece with sign * g(x) >= 0
-            mid = (start + stop) // 2
-            if sign * g(mid) < 0:
-                start = mid + 1
-            else:
-                stop = mid
-        if g(start) == 0:
-            roots.append(Fraction(start, c3))
+    for lo, hi in zip(ends, ends[1:]):
+        # g'' = 6x + 2a has one sign on [lo + 1, hi], or vanishes at one end
+        x = _part_root(g, dg, lo + 1, hi, 3 * (lo + 1 + hi) + 2 * a > 0)
+        if x is not None:
+            roots.append(Fraction(x, c3))
     return sorted(roots)
+
+
+def _part_root(g, dg, lo: int, hi: int, convex: bool) -> int | None:
+    """The integer root of g in [lo, hi], or None, where g is a cubic that is
+    monotone and convex (or concave) on [lo, hi].
+
+    Newton's method from the end where g has the sign of g'' moves toward
+    the root and never past it.  It crawls only while g is far from linear
+    between the iterate and the root, which happens near the other end, at
+    a critical point or at the inflection.  So the root's distance from that
+    end is first bisected by its bit length until it is known within a
+    factor of 8, and Newton's steps then converge quickly: a root n bits
+    from that end takes O(log n) evaluations of g, where bisection takes n.
+    """
+    glo, ghi = g(lo), g(hi)
+    if glo == 0:
+        return lo
+    if ghi == 0:
+        return hi
+    if (glo > 0) == (ghi > 0):
+        return None
+    # the root lies strictly between near and far; Newton steps go from far
+    step = 1 if (ghi > 0) == convex else -1
+    near, far, gfar = (lo, hi, ghi) if step == 1 else (hi, lo, glo)
+    anchor = near
+    while abs(far - near) > 1:
+        bits_near, bits_far = abs(near - anchor).bit_length(), abs(far - anchor).bit_length()
+        if bits_far - bits_near >= 3:
+            # strictly between: 2^bits_near <= 2^k <= 2^(bits_far - 2)
+            x = anchor + step * (1 << (bits_near + bits_far) // 2)
+        else:
+            # rounded toward far, so it stays on far's side of the root
+            x = far - step * max(1, abs(gfar) // abs(dg(far)))
+        gx = g(x)
+        if gx == 0:
+            return x
+        if (gx > 0) == (gfar > 0):
+            far, gfar = x, gx
+        else:
+            near = x
+    return None
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,19 @@ bound); for z2z4, c < chi and alpha, beta <= 4 chi + 1, since
 beta^2 <= 16c^2 + 8c + 1.  z2z4 also prunes before listing the divisors of
 c^2: every prime of an odd c is an odd prime of c * alpha * beta, which a
 hit keeps to two, so a c with three or more primes is skipped.
+
+No scan factors a discriminant.  Each hit's |disc| is a closed form in
+primes the scan has already proven, by `is_prime` or by its sieve, and
+`_hit` hands that factorization to `tate.conductor`:
+
+    neumann-setzer  2^4 p
+    2p (k >= 6)     2^(2k - 12) p
+    8p              2^8 p in case 1, 2^10 p in cases 2 and 3
+    4pq             2^10 (difference 8) or 2^8 (difference 4) times p^(2 alpha) q^(2 beta)
+    z2z4            c^4 alpha^2 beta^2, the primes of c, alpha and beta merged
+
+The product of the pairs is checked against the model's own discriminant,
+so a wrong closed form raises ValueError, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -59,10 +72,12 @@ class SearchHit:
         return dict(self.params)
 
 
-def _hit(family: str, params: tuple, curve: WeierstrassModel | None, tags=()) -> SearchHit:
-    """A hit with its curve's conductor (none for a parameter-only hit)."""
-    cond = None if curve is None else _conductor(curve)
-    return SearchHit(family, params, tuple(tags), curve, cond)
+def _hit(family: str, params: tuple, curve: WeierstrassModel, pairs: tuple, tags=()) -> SearchHit:
+    """A hit with its curve's conductor.  `pairs` are the prime-power pairs
+    of |disc| of the integral model, with primes the scan has proven; the
+    product check raises ValueError if they are not its factorization."""
+    disc = Factorization._of_proven_primes(abs(curve.disc), pairs)
+    return SearchHit(family, params, tuple(tags), curve, _conductor(curve, disc))
 
 
 def _twist(m: int) -> int:
@@ -156,7 +171,8 @@ def _scan_neumann_setzer(lo: int, hi: int) -> list[SearchHit]:
         # the twist with m = 1 (mod 4) is the one of conductor 4p
         mstar = _twist(m)
         e = WeierstrassModel(0, mstar, 0, -1, 0)
-        hits.append(_hit("neumann-setzer", (("m", m), ("m_curve", mstar), ("p", p)), e))
+        params = (("m", m), ("m_curve", mstar), ("p", p))
+        hits.append(_hit("neumann-setzer", params, e, ((2, 4), (p, 1))))
     return hits
 
 
@@ -206,9 +222,10 @@ def _scan_2p(lo: int, hi: int, k_max: int) -> list[SearchHit]:
             if k >= 6:
                 mstar = _twist(m)
                 curve = WeierstrassModel(1, (mstar - 1) // 4, 0, 2 ** (k - 6), 0)
-                hits.append(_hit("2p", params + (("m_curve", mstar),), curve, tags))
+                pairs = ((2, 2 * k - 12), (p, 1)) if k > 6 else ((p, 1),)
+                hits.append(_hit("2p", params + (("m_curve", mstar),), curve, pairs, tags))
             else:
-                hits.append(_hit("2p", params, None, tags + ("parameter-only",)))
+                hits.append(SearchHit("2p", params, tags + ("parameter-only",)))
     return hits
 
 
@@ -250,7 +267,9 @@ def _scan_8p(plo: int, phi: int) -> list[SearchHit]:
     for p, case, m, a4 in sorted(found):
         mstar = _twist(m)
         e = WeierstrassModel(0, mstar, 0, a4, 0)
-        hits.append(_hit("8p", (("case", case), ("m", mstar), ("p", p)), e))
+        # |disc| = 16 a4^2 p
+        pairs = ((2, 8 if case == 1 else 10), (p, 1))
+        hits.append(_hit("8p", (("case", case), ("m", mstar), ("p", p)), e, pairs))
     return hits
 
 
@@ -285,6 +304,7 @@ def _odd_prime_power(n: int, sieve: PrimeSieve) -> tuple[int, int] | None:
 def _scan_4pq(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
     # u < hi <= bound + 1, and v = u + difference is read only up to bound
     sieve = PrimeSieve(min(hi + difference, bound))
+    two = 8 if difference == 4 else 10  # 16 difference^2 = 2^two
     hits = []
     for u in range(lo | 1, hi, 2):
         pu = _odd_prime_power(u, sieve)
@@ -299,10 +319,13 @@ def _scan_4pq(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
         (p, alpha), (q, beta) = pu, qv
         if p == q:  # powers of one odd prime cannot differ by 4 or 8
             raise AssertionError(f"{u} and {v} are powers of the same prime {p}")
+        # |disc| = 16 (u v difference)^2, and p, q come from the sieve
+        pairs = ((2, two), *sorted(((p, 2 * alpha), (q, 2 * beta))))
         for s in (1, -1):
             params = (("alpha", alpha), ("beta", beta), ("difference", difference))
             params += (("p", p), ("q", q), ("s", s), ("u", u), ("v", v))
-            hits.append(_hit("4pq", params, WeierstrassModel(0, -s * (u + v), 0, u * v, 0)))
+            e = WeierstrassModel(0, -s * (u + v), 0, u * v, 0)
+            hits.append(_hit("4pq", params, e, pairs))
     return hits
 
 
@@ -353,7 +376,8 @@ def _scan_z2z4(clo: int, chi: int) -> list[SearchHit]:
                 # primitive hits are genuinely new curves
                 tags.append("primitive")
             params = (("a2", a2), ("a4", a4), ("alpha", alpha), ("beta", beta), ("c", c))
-            hits.append(_hit("z2z4", params, e, tags))
+            pairs = _z2z4_disc_pairs(pairs_c, alpha, beta, sieve)
+            hits.append(_hit("z2z4", params, e, pairs, tags))
     return hits
 
 
@@ -369,6 +393,17 @@ def _odd_support(pairs_c: tuple, alpha: int, beta: int, sieve: PrimeSieve) -> se
     factor(c * alpha * beta) gives."""
     pairs = (*pairs_c, *sieve.pairs(alpha), *sieve.pairs(beta))
     return {p for p, _ in pairs if p != 2}
+
+
+def _z2z4_disc_pairs(pairs_c: tuple, alpha: int, beta: int, sieve: PrimeSieve) -> tuple:
+    """The prime-power pairs of c^4 alpha^2 beta^2, |disc| of the hit's
+    model, from the prime pairs of c and the sieve's factorizations of alpha
+    and beta, shared primes merged: `factor(c^4 alpha^2 beta^2).pairs`."""
+    exponents: dict[int, int] = {}
+    for pairs, w in ((pairs_c, 4), (sieve.pairs(alpha), 2), (sieve.pairs(beta), 2)):
+        for p, e in pairs:
+            exponents[p] = exponents.get(p, 0) + w * e
+    return tuple(sorted(exponents.items()))
 
 
 def _assert_z2z4_torsion(e: WeierstrassModel, c: int, beta: int) -> None:

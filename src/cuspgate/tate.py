@@ -10,9 +10,10 @@ outcome is a plain tuple (a, k, kodaira, n, c, v, split), with u = p^k.
 f = v - m + 1 comes from v and the component count m at every prime.
 Records are built only for `tate_algorithm` and `_local_data`, in
 `_result`; for a fixed u the change is triangular in (s, r, t), so a1, a2
-and a3 give s, r and t by exact divisions.  `conductor` computes and
-factors the discriminant once per curve and reads f straight off the
-outcome at each of its primes, building no record.
+and a3 give s, r and t by exact divisions.  `conductor` computes the
+discriminant once per curve, takes its factorization from the caller or
+factors it, and reads f straight off the outcome at each of its primes,
+building no record.
 
 There is one path for every prime.  The singular point, the shape of the
 I0* cubic and its root count are closed forms mod p that branch only on the
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factor, is_prime, valuation
+from .arith import Factorization, factor, is_prime, valuation
 from .curves import Transform, WeierstrassModel, _b_invariants, _c_invariants, _shifted
 
 # ---------------------------------------------------------------------------
@@ -299,13 +300,23 @@ def _in_star(a, p, v):
 # ---------------------------------------------------------------------------
 
 
-def conductor(e: WeierstrassModel) -> int:
+def conductor(e: WeierstrassModel, disc: Factorization | None = None) -> int:
     """Conductor of E/Q (the model need not be minimal, only integral up to
     clearing denominators): f read off `_tate`'s outcome at each prime of
-    the discriminant, with no records built."""
+    the discriminant, with no records built.
+
+    `disc` is the factorization of |disc| of e's integral model when the
+    caller has already proven it, as a search does for its hits; without
+    it the discriminant is factored here.  ValueError if `disc.n` is not
+    that |disc|."""
     e = e.integral_model()[0]
-    # factor proves its primes and gives v_p(disc) with each
-    return math.prod(p ** _exponents(_tate(e, p, v))[1] for p, v in factor(abs(e.disc)).pairs)
+    n = abs(e.disc)
+    if disc is None:
+        disc = factor(n)
+    elif disc.n != n:
+        raise ValueError(f"factorization of {disc.n} given for the discriminant {n}")
+    # the primes are proven and carry v_p(disc) with them
+    return math.prod(p ** _exponents(_tate(e, p, v))[1] for p, v in disc.pairs)
 
 
 def _local_data(e: WeierstrassModel):

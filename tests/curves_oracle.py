@@ -4,9 +4,11 @@ arithmetic built on the group law, kept as test oracles.
 `apply_transform` used to lift every coefficient and every entry of
 (u, r, s, t) to a Fraction and divide by u^k even when u = 1, and
 `_rational_cubic_roots` factored the leading and constant coefficients and
-evaluated each candidate p/q by Horner's rule over Fraction.  The library
-now stays in int where it can and finds the cubic's roots by bisection
-without factoring; the suite compares it with these forms.
+evaluated each candidate p/q by Horner's rule over Fraction
+(`rational_cubic_roots`), then bisected each monotone piece of the cubic
+one bit per step (`bisected_cubic_roots`).  The library now stays in int
+where it can and finds the cubic's roots by Newton steps from the outer
+end of each convex or concave part; the suite compares it with these forms.
 
 The library's one point operation is `group_law_add`.  `negate`,
 `scalar_mul`, `on_curve` and `transform_point` are what the suite checks it
@@ -17,6 +19,7 @@ second route to x(2P).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from cuspgate.arith import factor
@@ -56,6 +59,41 @@ def rational_cubic_roots(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
                     acc = acc * cand + c
                 if acc == 0:
                     roots.append(cand)
+    return sorted(roots)
+
+
+def bisected_cubic_roots(c3: int, c2: int, c1: int, c0: int) -> list[Fraction]:
+    """All rational roots of c3 x^3 + c2 x^2 + c1 x + c0 (c3 != 0), by
+    bisecting each monotone piece of the monic g(X) = X^3 + a X^2 + b X + c,
+    X = c3 x, inside Fujiwara's bound: one evaluation per bit."""
+    a, b, c = c2, c1 * c3, c0 * c3 * c3
+
+    def g(x: int) -> int:
+        return ((x + a) * x + b) * x + c
+
+    bound = 2 * max(
+        abs(a), 1 << (abs(b).bit_length() + 1) // 2, 1 << (abs(c).bit_length() + 2) // 3
+    )
+    q = a * a - 3 * b
+    if q <= 0:  # g is increasing
+        pieces = [(-bound, bound, 1)]
+    else:
+        s = math.isqrt(q)
+        lo = (-a - s - (s * s != q)) // 3
+        hi = (-a + s) // 3
+        pieces = [(-bound, lo, 1), (lo + 1, hi, -1), (hi + 1, bound, 1)]
+    roots = []
+    for start, stop, sign in pieces:
+        if start > stop or sign * g(start) > 0 or sign * g(stop) < 0:
+            continue
+        while start < stop:  # least x in the piece with sign * g(x) >= 0
+            mid = (start + stop) // 2
+            if sign * g(mid) < 0:
+                start = mid + 1
+            else:
+                stop = mid
+        if g(start) == 0:
+            roots.append(Fraction(start, c3))
     return sorted(roots)
 
 

@@ -335,7 +335,14 @@ def test_torsion2(capsys):
 
 
 @pytest.mark.parametrize(
-    "curve", ["0,0,0,1,1000000000000000000000000000057", "0,0,0,1e300,1e-300", "0,0,0,1e1000,1e-1000"]
+    "curve",
+    [
+        "0,0,0,1,1000000000000000000000000000057",
+        "0,0,0,1e300,1e-300",
+        "0,0,0,1e1000,1e-1000",
+        "0,0,0,1e4300,1e-4300",
+        "0,0,0,-1e4300,1e4300",
+    ],
 )
 def test_torsion2_huge_coefficients_within_budget(capsys, curve):
     start = time.perf_counter()

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import time
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import curves_oracle
+from cuspgate import curves
 from curves_oracle import double_x, negate, on_curve, scalar_mul, transform_point
 from cuspgate.curves import (
     BInvariants,
@@ -12,6 +16,8 @@ from cuspgate.curves import (
     Point,
     Transform,
     WeierstrassModel,
+    _b_invariants,
+    _discriminant,
     _rational_cubic_roots,
     apply_transform,
     b_invariants,
@@ -46,6 +52,42 @@ def test_coefficient_normalization():
     assert all(isinstance(a, int) for a in e.coefficients())
     f = WeierstrassModel(0, 0, 0, Fraction(1, 4), Fraction(1, 8))
     assert not f.is_integral()
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (0, -1, 1, -10, -20),
+        (1, 4, 0, 1, 0),
+        (0, 0, 0, Fraction(1, 4), Fraction(1, 8)),
+        (Fraction(1, 2), Fraction(-3, 7), 5, Fraction(2, 3), Fraction(-9, 11)),
+    ],
+)
+def test_disc_is_computed_once_and_kept(coeffs):
+    e = WeierstrassModel(*coeffs)
+    assert e.disc == _discriminant(_b_invariants(e.coefficients()))
+    assert "disc" in vars(e)
+    assert [f.name for f in dataclasses.fields(e)] == ["a1", "a2", "a3", "a4", "a6"]
+    copies = (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e), dataclasses.replace(e))
+    for other in copies:
+        assert other == e and hash(other) == hash(e) and repr(other) == repr(e)
+        assert other.disc == e.disc
+    moved = dataclasses.replace(e, a6=e.a6 + 1)
+    assert moved.disc == _discriminant(_b_invariants(moved.coefficients()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.disc = 0
+
+
+def test_model_construction_checks_stay():
+    with pytest.raises(ValueError, match="singular"):
+        WeierstrassModel(Fraction(0), 0, 0, Fraction(-3), 2)  # (x-1)^2 (x+2)
+    with pytest.raises(TypeError, match="is not int or Fraction"):
+        WeierstrassModel(0, 0, 0, 1.0, 1)
+    e = WeierstrassModel(Fraction(4, 2), 0, 0, Fraction(-1), Fraction(3, 1))
+    assert all(type(a) is int for a in e.coefficients()) and type(e.disc) is int
+    assert repr(e) == "WeierstrassModel(a1=2, a2=0, a3=0, a4=-1, a6=3)"
+    plain = WeierstrassModel(2, 0, 0, -1, 3)
+    assert e == plain and hash(e) == hash(plain)
 
 
 def test_from_coefficients():
@@ -288,7 +330,7 @@ def test_rational_cubic_roots_near_the_critical_points(linear, u, v, scale):
 
 
 def test_two_torsion_of_huge_roots_within_budget():
-    """Bisection needs no factoring, so 300-digit roots are found at once
+    """The root finder factors nothing, so 300-digit roots are found at once
     (the CLI tests take the huge coefficients with no root)."""
     start = time.perf_counter()
     n = 10**300 + 7
@@ -298,3 +340,56 @@ def test_two_torsion_of_huge_roots_within_budget():
     poly = _times_linear(_times_linear(_times_linear([5], n, 3), -2, 3), -2, 3)
     assert _rational_cubic_roots(*poly) == [Fraction(-2, 3), Fraction(n, 3)]
     assert time.perf_counter() - start < 2
+
+
+def test_root_finder_evaluates_the_cubic_logarithmically_often(monkeypatch):
+    """4000-digit cubics whose roots sit where Newton's method crawls: at the
+    inflection, at a double root, beside the critical points.  Bisection
+    evaluates each such cubic more than 13,000 times per part."""
+    calls = []
+    part_root = curves._part_root
+
+    def counting(g, dg, lo, hi, convex):
+        return part_root(lambda x: calls.append(x) or g(x), dg, lo, hi, convex)
+
+    monkeypatch.setattr(curves, "_part_root", counting)
+    s = 10**4000
+    cube = [1, 3 * s, 3 * s * s, s**3]  # (x + s)^3
+    # (x - s)^2 (x + s)
+    double = _times_linear(_times_linear(_times_linear([1], s, 1), s, 1), -s, 1)
+    cases = [
+        (cube[:3] + [cube[3] + 1], [-s - 1]),
+        (cube[:3] + [cube[3] + 2], []),
+        (double, [-s, s]),
+        (double[:3] + [double[3] - 1], []),
+        (_times_linear(_times_linear(_times_linear([1], s, 1), s + 1, 1), -7, 1), [-7, s, s + 1]),
+        (
+            _times_linear(_times_linear(_times_linear([3], s, 1), -s * s, 7), 5, 2),
+            [Fraction(-s * s, 7), Fraction(5, 2), s],
+        ),
+    ]
+    for poly, roots in cases:
+        calls.clear()
+        assert _rational_cubic_roots(*poly) == roots
+        assert len(calls) < 200
+
+
+huge = st.integers(-(10**300), 10**300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(huge.filter(lambda x: x != 0), huge, huge, huge)
+def test_rational_cubic_roots_match_bisection_on_huge_coefficients(c3, c2, c1, c0):
+    want = curves_oracle.bisected_cubic_roots(c3, c2, c1, c0)
+    assert _rational_cubic_roots(c3, c2, c1, c0) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(huge, st.integers(-3, 3), st.integers(-(10**300), 10**300), st.integers(1, 6), nonzero_ints)
+def test_rational_cubic_roots_match_bisection_near_double_roots(r, dr, t, q, scale):
+    """(x - r)(x - r - dr)(q x - t) plus -1, 0 or 1: a double or near-double
+    root, where Newton's method is slowest, next to a root of any size."""
+    poly = _times_linear(_times_linear(_times_linear([scale], r, 1), r + dr, 1), t, q)
+    for shift in (-1, 0, 1):
+        shifted = poly[:3] + [poly[3] + shift]
+        assert _rational_cubic_roots(*shifted) == curves_oracle.bisected_cubic_roots(*shifted)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuspgate.arith import PrimeSieve, factor, is_square
 from cuspgate.curves import WeierstrassModel
-from cuspgate import searches
+from cuspgate import searches, tate
 from cuspgate.searches import (
     SearchHit,
     search_2p_family,
@@ -330,6 +330,76 @@ def test_z2z4_support_matches_factoring_the_product():
         for alpha, beta in pairs:
             want = {p for p in factor(c * alpha * beta).primes() if p != 2}
             assert searches._odd_support(factor(c).pairs, alpha, beta, sieve) == want
+            disc_pairs = searches._z2z4_disc_pairs(factor(c).pairs, alpha, beta, sieve)
+            assert disc_pairs == factor(c**4 * alpha**2 * beta**2).pairs
+
+
+# every family at small bounds, with 4pq at both differences
+HIT_SCANS = {
+    "neumann-setzer": lambda: search_neumann_setzer(20_000),
+    "2p": lambda: search_2p_family(24),
+    "8p": lambda: search_8p_family(20_000),
+    "4pq-8": lambda: search_4pq_family(3_000),
+    "4pq-4": lambda: search_4pq_family(3_000, difference=4),
+    "z2z4": lambda: list(verify_z2z4_classification(2_500).hits),
+}
+
+
+@pytest.mark.parametrize("family", sorted(HIT_SCANS))
+def test_hit_conductors_match_factoring_the_discriminant(monkeypatch, family):
+    """Each hit hands conductor the factorization of its |disc| that the
+    scan proved; it equals factor's, and so does the conductor.  The scans
+    themselves factor nothing."""
+    handed = []
+
+    def spy(curve, disc):
+        handed.append((curve, disc))
+        return conductor(curve, disc)
+
+    monkeypatch.setattr(searches, "_conductor", spy)
+    monkeypatch.setattr(tate, "factor", lambda n: pytest.fail(f"factored {n}"))
+    hits = HIT_SCANS[family]()
+    monkeypatch.undo()
+    curved = [h for h in hits if h.curve is not None]
+    assert curved and [h.curve for h in curved] == [curve for curve, _ in handed]
+    for h, (curve, disc) in zip(curved, handed):
+        assert disc.n == abs(curve.disc) and disc.pairs == factor(disc.n).pairs
+        assert h.conductor == conductor(h.curve)
+    # the branches of each closed form are all reached
+    params = [h.params_dict() for h in curved]
+    if family == "2p":
+        assert {p["k"] for p in params} >= {7, 9, 23}
+    if family == "8p":
+        assert {p["case"] for p in params} == {1, 2, 3}
+    if family.startswith("4pq"):
+        assert {(p["alpha"] > 1, p["beta"] > 1) for p in params} >= {
+            (False, False), (True, False), (False, True)
+        }
+    if family == "z2z4":
+        assert any(math.gcd(p["c"], p["alpha"] * p["beta"]) > 1 for p in params)
+        assert any("primitive" in h.tags for h in curved)
+
+
+def test_2p_closed_form_drops_the_power_of_two_at_k6(monkeypatch):
+    """No k = 6 pair gives a prime (2^6 - m^2 is 63, 55, 39 or 15), so with
+    primality faked the k = 6 curves show |disc| = p: the pairs are (p, 1)
+    alone, and the product check in `_hit` passes."""
+    pairs = sum(searches._odd_roots(k) for k in range(1, 7))
+    assert all(h.params_dict()["k"] < 6 for h in searches._scan_2p(0, pairs, 6))
+    handed = []
+    monkeypatch.setattr(searches, "is_prime", lambda p: p in (55, 39))
+    monkeypatch.setattr(searches, "_conductor", lambda curve, disc: handed.append(disc) or 0)
+    hits = searches._scan_2p(0, pairs, 6)
+    assert [h.params_dict()["k"] for h in hits] == [6, 6]
+    assert [d.pairs for d in handed] == [((55, 1),), ((39, 1),)]
+
+
+def test_hit_refuses_pairs_that_miss_the_discriminant():
+    e = WeierstrassModel(0, 1, 0, -1, 0)  # the m = 1 Neumann-Setzer curve, |disc| = 2^4 * 5
+    assert searches._hit("neumann-setzer", (), e, ((2, 4), (5, 1))).conductor == 20
+    for pairs in (((5, 1),), ((2, 3), (5, 1)), ((2, 5), (5, 1)), ((2, 4), (5, 2))):
+        with pytest.raises(ValueError, match="multiply to"):
+            searches._hit("neumann-setzer", (), e, pairs)
 
 
 def test_z2z4_torsion_check_rejects_wrong_curves():

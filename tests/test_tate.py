@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import tate_oracle
 from cuspgate import tate
-from cuspgate.arith import is_prime, valuation
+from cuspgate.arith import factor, is_prime, valuation
 from cuspgate.curves import Transform, WeierstrassModel, apply_transform
 from cuspgate.tate import conductor, tate_algorithm
 from tate_oracle import hasse_bound_check_at_2, reduction_point_count
@@ -169,6 +169,28 @@ def test_conductor_of_rescaled_model():
     # a non-minimal rational model reduces to the same conductor
     assert conductor(WeierstrassModel(0, 0, 0, Fraction(-1, 16), 0)) == 32
     assert conductor(WeierstrassModel(0, -31, 0, 240, 0)) == 15
+
+
+def test_conductor_takes_the_factorization_of_the_integral_discriminant():
+    """Given |disc| of the integral model as a Factorization, conductor reads
+    the same value without factoring; any other n is refused."""
+    e11 = WeierstrassModel(0, -1, 1, -10, -20)
+    rescaled = apply_transform(e11, Transform(Fraction(1, 2), 0, 0, 0))  # integral, not minimal
+    models = [
+        (e11, 11),
+        (rescaled, 11),
+        (WeierstrassModel(0, 0, 0, Fraction(-1, 16), 0), 32),
+        (WeierstrassModel(0, -31, 0, 240, 0), 15),
+    ]
+    for e, n in models:
+        integral = e.integral_model()[0]
+        with mock.patch.object(tate, "factor", side_effect=AssertionError("factored")):
+            assert conductor(e, factor(abs(integral.disc))) == n
+        # the model's own |disc|, off by a factor, and the minimal one of e11
+        for wrong in {abs(e.disc.numerator), 2 * abs(integral.disc), 11**5} - {abs(integral.disc)}:
+            with pytest.raises(ValueError, match="discriminant"):
+                conductor(e, factor(wrong))
+    assert rescaled.is_integral() and abs(rescaled.disc) == 2**12 * 11**5
 
 
 def test_eight_p_twist_normalization():
