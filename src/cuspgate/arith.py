@@ -282,3 +282,18 @@ class PrimeSieve:
                 e += 1
             pairs.append((p, e))
         return tuple(pairs)
+
+    def prime_power(self, n: int) -> tuple[int, int] | None:
+        """(p, e) when n = p^e for 1 <= n <= limit, else None: the one pair
+        of `pairs(n)`, read from n's smallest prime without listing any."""
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"{n} is outside the sieve's range 1..{self.limit}")
+        if n == 1:
+            return None
+        p = self._spf[n] or n
+        m = n // p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        return (p, e) if m == 1 else None

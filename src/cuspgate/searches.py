@@ -25,13 +25,16 @@ The 8p scan enumerates square roots: for each case it walks the odd m with
 p = m^2 - shift in its range and tests only those p for primality, then
 sorts the hits by (p, case).
 
-The 4pq and z2z4 scans factor every number they read, so each piece builds
-one `arith.PrimeSieve` (a smallest-prime-factor table) over that range and
-factors by table lookups: for 4pq, u and v up to min(hi + difference,
-bound); for z2z4, c < chi and alpha, beta <= 4 chi + 1, since
-beta^2 <= 16c^2 + 8c + 1.  z2z4 also prunes before listing the divisors of
-c^2: every prime of an odd c is an odd prime of c * alpha * beta, which a
-hit keeps to two, so a c with three or more primes is skipped.
+The 4pq and z2z4 scans read every number of their range, so each piece
+builds one `arith.PrimeSieve` (a smallest-prime-factor table) over that
+range: for 4pq, u and v up to min(hi + difference, bound); for z2z4,
+c < chi and alpha, beta <= 4 chi + 1, since beta^2 <= 16c^2 + 8c + 1.
+4pq only asks whether an odd u or v is a prime power, and
+`PrimeSieve.prime_power` answers by dividing out the smallest prime the
+table holds, listing no pairs.  z2z4 factors by table lookups, and prunes
+before listing the divisors of c^2: every prime of an odd c is an odd
+prime of c * alpha * beta, which a hit keeps to two, so a c with three or
+more primes is skipped.
 
 No scan factors a discriminant.  Each hit's |disc| is a closed form in
 primes the scan has already proven, by `is_prime` or by its sieve, and
@@ -78,6 +81,17 @@ def _hit(family: str, params: tuple, curve: WeierstrassModel, pairs: tuple, tags
     product check raises ValueError if they are not its factorization."""
     disc = Factorization._of_proven_primes(abs(curve.disc), pairs)
     return SearchHit(family, params, tuple(tags), curve, _conductor(curve, disc))
+
+
+def _check_bound(name: str, value: int, least: int, most: int) -> None:
+    """Refuse a bound outside [least, most], before any sieve or pool is
+    built.  Each search's `most` is the largest round bound whose
+    `cuspgate search` run finishes in about 5 s with jobs=1 (2 CPUs, Python
+    3.11), with every sieve under 64 MB."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}")
 
 
 def _twist(m: int) -> int:
@@ -179,8 +193,7 @@ def _scan_neumann_setzer(lo: int, hi: int) -> list[SearchHit]:
 def search_neumann_setzer(bound: int, *, jobs: int = 1) -> list[SearchHit]:
     """Odd m with m^2 + 4 = p prime up to `bound`; curves y^2 = x^3 + m x^2 - x
     of conductor 4p."""
-    if bound < 5:
-        raise ValueError("bound must be at least 5")
+    _check_bound("bound", bound, 5, 5 * 10**11)
     return _run_scan(_scan_neumann_setzer, 1, math.isqrt(bound - 4) + 1, jobs)
 
 
@@ -237,8 +250,7 @@ def search_2p_family(k_max: int, *, jobs: int = 1) -> list[SearchHit]:
     smaller k are reported parameter-only.  Tags record the position of k
     relative to the effective window (exact integer comparisons, no floats).
     """
-    if k_max < 3:
-        raise ValueError("k_max must be at least 3")
+    _check_bound("k_max", k_max, 3, 38)
     pairs = sum(_odd_roots(k) for k in range(1, k_max + 1))
     return _run_scan(_scan_2p, 0, pairs, jobs, k_max)
 
@@ -284,8 +296,7 @@ def search_8p_family(p_max: int, *, jobs: int = 1) -> list[SearchHit]:
     Each match carries the quadratic-twist-normalized model (m = 1 mod 4) of
     conductor 8p; a prime can hit more than one case (p = 41 hits two).
     """
-    if p_max < 37:
-        raise ValueError("p_max must be at least 37")
+    _check_bound("p_max", p_max, 37, 5 * 10**10)
     return _run_scan(_scan_8p_by_root, 5, math.isqrt(p_max) + 1, jobs, p_max)
 
 
@@ -295,10 +306,7 @@ def search_8p_family(p_max: int, *, jobs: int = 1) -> list[SearchHit]:
 def _odd_prime_power(n: int, sieve: PrimeSieve) -> tuple[int, int] | None:
     if n < 3 or n % 2 == 0:
         return None
-    pairs = sieve.pairs(n)
-    if len(pairs) != 1:
-        return None
-    return pairs[0]
+    return sieve.prime_power(n)
 
 
 def _scan_4pq(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
@@ -333,8 +341,7 @@ def search_4pq_family(bound: int, *, difference: int = 8, jobs: int = 1) -> list
     """Pairs of odd prime powers p^alpha < q^beta, both <= bound, that differ
     by 8 (or by 4 with difference=4), with the two models
     y^2 = x(x - s*u)(x - s*v), s = +-1, and their conductors 2^a * p * q."""
-    if bound < 11:
-        raise ValueError("bound must be at least 11")
+    _check_bound("bound", bound, 11, 2 * 10**6)
     if difference not in (4, 8):
         raise ValueError("difference must be 4 or 8")
     return _run_scan(_scan_4pq, 3, bound + 1, jobs, bound, difference)
@@ -436,8 +443,7 @@ def verify_z2z4_classification(bound: int, *, jobs: int = 1) -> Z2Z4Report:
     do occur -- they are larger models of the same curves and are reported
     with their conductors, which stay inside {15, 21}.
     """
-    if bound < 21:
-        raise ValueError("bound must be at least 21")
+    _check_bound("bound", bound, 21, 5 * 10**5)
     hits = _run_scan(_scan_z2z4, 1, bound + 1, jobs)
     conductors = tuple(sorted({h.conductor for h in hits}))
     empty = not any("two-prime" in h.tags and "primitive" in h.tags for h in hits)

@@ -12,13 +12,17 @@ Records are built only for `tate_algorithm` and `_local_data`, in
 `_result`; for a fixed u the change is triangular in (s, r, t), so a1, a2
 and a3 give s, r and t by exact divisions.  `conductor` computes the
 discriminant once per curve, takes its factorization from the caller or
-factors it, and reads f straight off the outcome at each of its primes,
-building no record.
+factors it, and builds no record.  At a prime p of the discriminant that
+does not divide c4 it takes f = 1 without running the loop: the singular
+point is a node, and the model is minimal at p (a non-minimal one has
+p^4 | c4), so the loop would stop in its first, multiplicative branch (on
+the translated model c4 = b2^2 mod p, and a shift leaves c4 as it is).  At
+every other prime it reads f straight off the loop's outcome.
 
-There is one path for every prime.  The singular point, the shape of the
-I0* cubic and its root count are closed forms mod p that branch only on the
-characteristic (p = 2, p = 3, p >= 5), after Cremona, *Algorithms for
-Modular Elliptic Curves*, section 3.2.  Brute-force searches over F_p for
+Beside that read, there is one path for every prime.  The singular point,
+the shape of the I0* cubic and its root count are closed forms mod p that
+branch only on the characteristic (p = 2, p = 3, p >= 5), after Cremona,
+*Algorithms for Modular Elliptic Curves*, section 3.2.  Brute-force searches over F_p for
 the same answers are the test oracles in `tests/tate_oracle.py`.
 
 The split/non-split and component-group decisions are made on the
@@ -302,8 +306,9 @@ def _in_star(a, p, v):
 
 def conductor(e: WeierstrassModel, disc: Factorization | None = None) -> int:
     """Conductor of E/Q (the model need not be minimal, only integral up to
-    clearing denominators): f read off `_tate`'s outcome at each prime of
-    the discriminant, with no records built.
+    clearing denominators): f = 1 at each prime of the discriminant that
+    does not divide c4, where the reduction is multiplicative, and f read
+    off `_tate`'s outcome at each other prime, with no records built.
 
     `disc` is the factorization of |disc| of e's integral model when the
     caller has already proven it, as a search does for its hits; without
@@ -315,8 +320,17 @@ def conductor(e: WeierstrassModel, disc: Factorization | None = None) -> int:
         disc = factor(n)
     elif disc.n != n:
         raise ValueError(f"factorization of {disc.n} given for the discriminant {n}")
+    # p | disc and p !| c4 make the singular point a node (Silverman, AEC
+    # III.1.4, in every characteristic), and the model is minimal at p, since
+    # a non-minimal one has p^4 | c4: multiplicative, f = 1.  This is the
+    # loop's own first branch read early: with the singular point moved to
+    # the origin, p | b4, so c4 = b2^2 - 24 b4 = b2^2 (mod p), and a shift
+    # (u = 1) leaves c4 as it is, so p !| c4 iff p !| b2 there.
+    c4 = e.c4
     # the primes are proven and carry v_p(disc) with them
-    return math.prod(p ** _exponents(_tate(e, p, v))[1] for p, v in disc.pairs)
+    return math.prod(
+        p if c4 % p else p ** _exponents(_tate(e, p, v))[1] for p, v in disc.pairs
+    )
 
 
 def _local_data(e: WeierstrassModel):

@@ -266,14 +266,32 @@ def test_sieve_matches_factor_to_a_hundred_thousand():
         assert sieve.pairs(n) == factor(n).pairs
 
 
+def test_sieve_prime_power_matches_factor_to_a_hundred_thousand():
+    sieve = PrimeSieve(100_000)
+    assert sieve.prime_power(1) is None
+    for n in range(2, 100_001):
+        pairs = factor(n).pairs
+        assert sieve.prime_power(n) == (pairs[0] if len(pairs) == 1 else None), n
+
+
+def test_sieve_prime_power_agrees_with_the_4pq_oracle():
+    """On every odd n that the 4pq tests read: u and v up to 6000 + 8."""
+    sieve = PrimeSieve(6_008)
+    for n in range(3, 6_009, 2):
+        assert sieve.prime_power(n) == _odd_prime_power(n), n
+
+
 def test_sieve_range_is_checked():
     with pytest.raises(ValueError):
         PrimeSieve(0)
     sieve = PrimeSieve(10)
     assert sieve.pairs(1) == () and sieve.pairs(10) == ((2, 1), (5, 1))
+    assert sieve.prime_power(9) == (3, 2) and sieve.prime_power(10) is None
     for n in (0, -3, 11):
         with pytest.raises(ValueError):
             sieve.pairs(n)
+        with pytest.raises(ValueError):
+            sieve.prime_power(n)
 
 
 @given(st.integers(1, 10**4))

@@ -474,6 +474,22 @@ def test_search_bound_below_the_domain_exits_1(capsys, family, bound, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "family, bound, message",
+    [
+        ("neumann-setzer", "500000000001", "bound must be at most 500000000000"),
+        ("2p", "39", "k_max must be at most 38"),
+        ("8p", "50000000001", "p_max must be at most 50000000000"),
+        ("4pq", "2000001", "bound must be at most 2000000"),
+        ("z2z4", "500001", "bound must be at most 500000"),
+    ],
+)
+def test_search_bound_above_the_domain_exits_1(capsys, family, bound, message):
+    code, out, err = run_cli(capsys, "search", "--family", family, "--bound", bound)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -380,6 +381,23 @@ def test_hit_conductors_match_factoring_the_discriminant(monkeypatch, family):
         assert any("primitive" in h.tags for h in curved)
 
 
+# the primes at which conductor runs Tate's loop on each curve of a hit:
+# every odd prime of a hit's conductor is multiplicative, with p !| c4, and
+# so is 2 on a 2p curve (a1 = 1 makes c4 odd)
+LOOP_PRIMES = {"neumann-setzer": [2], "2p": [], "8p": [2], "4pq-8": [2], "4pq-4": [2]}
+
+
+@pytest.mark.parametrize("family", sorted(LOOP_PRIMES))
+def test_hit_conductors_run_the_loop_only_where_c4_is_divisible(monkeypatch, family):
+    calls = []
+    loop = tate._tate
+    monkeypatch.setattr(tate, "_tate", lambda e, p, v: calls.append((e, p)) or loop(e, p, v))
+    curved = [h for h in HIT_SCANS[family]() if h.curve is not None]
+    monkeypatch.undo()
+    assert curved
+    assert calls == [(h.curve, p) for h in curved for p in LOOP_PRIMES[family]]
+
+
 def test_2p_closed_form_drops_the_power_of_two_at_k6(monkeypatch):
     """No k = 6 pair gives a prime (2^6 - m^2 is 63, 55, 39 or 15), so with
     primality faked the k = 6 curves show |disc| = p: the pairs are (p, 1)
@@ -413,6 +431,36 @@ def test_z2z4_torsion_check_rejects_wrong_curves():
 def test_z2z4_validation():
     with pytest.raises(ValueError):
         verify_z2z4_classification(10)
+
+
+# each search's declared maximum, the largest bound it accepts
+MAXIMA = {
+    "neumann-setzer": (search_neumann_setzer, "bound", 5 * 10**11),
+    "2p": (search_2p_family, "k_max", 38),
+    "8p": (search_8p_family, "p_max", 5 * 10**10),
+    "4pq": (search_4pq_family, "bound", 2 * 10**6),
+    "z2z4": (verify_z2z4_classification, "bound", 5 * 10**5),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("family", sorted(MAXIMA))
+def test_bound_past_the_maximum_is_refused_before_any_work(monkeypatch, family, jobs):
+    """One past the maximum raises ValueError before a sieve, a pool or a
+    scan starts, and allocates next to nothing (z2z4 at 10^9 would have
+    asked for a 16 GB sieve)."""
+    search, name, most = MAXIMA[family]
+    for attr in ("PrimeSieve", "_run_scan", "_pool"):
+        monkeypatch.setattr(searches, attr, lambda *a, **k: pytest.fail("work started"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            search(most + 1, jobs=jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{name} must be at most {most}"
+    assert peak < 64 * 1024
 
 
 def test_parallel_runs_match_serial():

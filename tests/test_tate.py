@@ -124,6 +124,72 @@ def test_conductor_of_an_integral_model_builds_no_records():
     assert len(refused) == 2
 
 
+def assert_c4_read_matches_the_loop(e, pairs):
+    """At each (p, v_p(disc)) of pairs, p !| c4 exactly when `_tate` stops in
+    its first, multiplicative branch on e itself (k = 0, split decided), and
+    there it gives I_v and f = 1: the value `conductor` takes without it."""
+    c4 = e.c4
+    for p, v in pairs:
+        outcome = tate._tate(e, p, v)
+        _, k, kodaira, _, _, _, split = outcome
+        assert (c4 % p != 0) == (k == 0 and split is not None), (e, p)
+        if c4 % p:
+            assert kodaira == f"I{v}" and tate._exponents(outcome)[1] == 1, (e, p)
+
+
+def test_c4_read_on_the_frozen_curves():
+    multiplicative = 0
+    for (coeffs, p), _ in FROZEN:
+        e = WeierstrassModel(*coeffs)
+        disc = abs(e.disc)
+        try:
+            pairs = factor(disc).pairs
+        except ValueError:  # a cofactor past is_prime's proven bound
+            pairs = [(p, valuation(disc, p))] if disc % p == 0 else []
+        assert_c4_read_matches_the_loop(e, pairs)
+        multiplicative += sum(e.c4 % q != 0 for q, _ in pairs)
+    assert multiplicative >= 10
+
+
+def test_c4_read_on_the_search_curves():
+    from cuspgate import searches
+
+    runs = [
+        searches.search_neumann_setzer(2000),
+        searches.search_2p_family(16),
+        searches.search_8p_family(1000),
+        searches.search_4pq_family(120),
+        searches.search_4pq_family(120, difference=4),
+        searches.verify_z2z4_classification(100).hits,
+    ]
+    curves = [hit.curve for hit in itertools.chain(*runs) if hit.curve is not None]
+    assert len(curves) > 100
+    for e in curves:
+        assert_c4_read_matches_the_loop(e, factor(abs(e.disc)).pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 97, 101]),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
+    st.integers(0, 2),
+    st.tuples(st.integers(-200, 200), st.integers(-200, 200), st.integers(-200, 200)),
+)
+def test_c4_read_on_models_with_bad_reduction(p, a12, a346, k, shift):
+    """a3, a4, a6 = 0 (mod p) makes (0, 0) singular mod p, so p | disc; a
+    random a1, a2 makes it a node or a cusp, a scaling by p^k makes the
+    model non-minimal, and a shift moves the point."""
+    a3, a4, a6 = (p * x for x in a346)
+    try:
+        e = WeierstrassModel(*a12, a3, a4, a6)
+    except ValueError:
+        return
+    e = apply_transform(e, Transform(Fraction(1, p**k), *shift))
+    assert e.is_integral() and e.disc % p == 0
+    assert_c4_read_matches_the_loop(e, [(p, valuation(e.disc, p))])
+
+
 def test_split_test_runs_on_the_translated_model():
     # The singular point of 11a1 mod 11 is not at the origin; deciding split
     # multiplicative reduction before recentering gives the wrong answer.
