@@ -231,18 +231,6 @@ def _cmd_gate_pq(args) -> dict:
     return _verdict_dict(gate_pq_refined(args.p, args.q))
 
 
-# each entry takes the `searches` module, which _cmd_search imports, and the args
-_SEARCHES = {
-    "neumann-setzer": lambda s, args: s.search_neumann_setzer(args.bound, jobs=args.jobs),
-    "2p": lambda s, args: s.search_2p_family(args.bound, jobs=args.jobs),
-    "8p": lambda s, args: s.search_8p_family(args.bound, jobs=args.jobs),
-    "4pq": lambda s, args: s.search_4pq_family(
-        args.bound, difference=args.difference, jobs=args.jobs
-    ),
-    "z2z4": lambda s, args: s.verify_z2z4_classification(args.bound, jobs=args.jobs),
-}
-
-
 def _hit_dict(h) -> dict:
     return {
         "conductor": h.conductor,
@@ -254,9 +242,10 @@ def _hit_dict(h) -> dict:
 
 
 def _cmd_search(args):
-    from . import searches
+    from .searches import FAMILIES
 
-    out = _SEARCHES[args.family](searches, args)
+    extra = {"difference": args.difference} if args.family == "4pq" else {}
+    out = FAMILIES[args.family][0](args.bound, jobs=args.jobs, **extra)
     if args.family == "z2z4":
         result = {
             "bound": out.bound,
@@ -428,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, required=True)
 
     p = add("search", _cmd_search, "run a family scan")
-    p.add_argument("--family", choices=sorted(_SEARCHES), required=True)
+    # searches.FAMILIES, sorted; importing searches here would slow every query
+    p.add_argument("--family", choices=("2p", "4pq", "8p", "neumann-setzer", "z2z4"), required=True)
     p.add_argument("--bound", type=int, required=True, help="k_max for 2p, p_max for 8p")
     p.add_argument("--difference", type=int, default=8, help="4pq only: gap 4 or 8")
     p.add_argument("--jobs", type=_positive_int, default=1)

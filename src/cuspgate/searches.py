@@ -4,7 +4,8 @@ Every scan is a plain enumeration over an integer range, and `_run_scan`
 runs all five.  With `jobs` > 1 it cuts the range into 4 equal-width
 pieces per process, so each family counts its range in units of about
 equal cost.  2p counts the (k, odd m) pairs it tries, not k: one k tries
-about as many m as all smaller k together.  8p counts the r with p in
+about as many m as all smaller k together.  It tries only k < 6 and the odd
+k, since no even k >= 6 can hit (`_2p_blocks`).  8p counts the r with p in
 [r^2, (r + 1)^2), not p: each case tries one m per two r, but only one per
 about 4 sqrt(p) values of p.  Pieces are submitted last first, since a 4pq
 or z2z4 piece builds a sieve up to its upper end, and their hits are
@@ -41,7 +42,7 @@ primes the scan has already proven, by `is_prime` or by its sieve, and
 `_hit` hands that factorization to `tate.conductor`:
 
     neumann-setzer  2^4 p
-    2p (k >= 6)     2^(2k - 12) p
+    2p (odd k >= 7) 2^(2k - 12) p
     8p              2^8 p in case 1, 2^10 p in cases 2 and 3
     4pq             2^10 (difference 8) or 2^8 (difference 4) times p^(2 alpha) q^(2 beta)
     z2z4            c^4 alpha^2 beta^2, the primes of c, alpha and beta merged
@@ -83,11 +84,9 @@ def _hit(family: str, params: tuple, curve: WeierstrassModel, pairs: tuple, tags
     return SearchHit(family, params, tuple(tags), curve, _conductor(curve, disc))
 
 
-def _check_bound(name: str, value: int, least: int, most: int) -> None:
-    """Refuse a bound outside [least, most], before any sieve or pool is
-    built.  Each search's `most` is the largest round bound whose
-    `cuspgate search` run finishes in about 5 s with jobs=1 (2 CPUs, Python
-    3.11), with every sieve under 64 MB."""
+def _check_bound(family: str, value: int) -> None:
+    """Refuse a bound outside its family's row of FAMILIES, before any work."""
+    _, name, least, most = FAMILIES[family]
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
     if value > most:
@@ -193,7 +192,7 @@ def _scan_neumann_setzer(lo: int, hi: int) -> list[SearchHit]:
 def search_neumann_setzer(bound: int, *, jobs: int = 1) -> list[SearchHit]:
     """Odd m with m^2 + 4 = p prime up to `bound`; curves y^2 = x^3 + m x^2 - x
     of conductor 4p."""
-    _check_bound("bound", bound, 5, 5 * 10**11)
+    _check_bound("neumann-setzer", bound)
     return _run_scan(_scan_neumann_setzer, 1, math.isqrt(bound - 4) + 1, jobs)
 
 
@@ -206,18 +205,20 @@ def _ivorra_window(k: int, p: int) -> bool:
     return k >= 7 and 2 ** (k - 435) < p**10
 
 
-def _odd_roots(k: int) -> int:
-    """The number of odd m with m^2 <= 2^k."""
-    return (math.isqrt(2**k) + 1) // 2
+def _2p_blocks(k_max: int) -> list[tuple[int, int]]:
+    """(k, the number of odd m with m^2 <= 2^k) for the k <= k_max that can
+    hit: k < 6 and the odd k.  At k = 2j, 2^k - m^2 = (2^j - m)(2^j + m) with
+    m < 2^j is prime only at m = 2^j - 1, where p = 2^(j+1) - 1 is 15 (mod 16)
+    for j >= 3: no even k >= 6 passes the p = 7 (mod 16) test."""
+    return [(k, (math.isqrt(2**k) + 1) // 2) for k in range(1, k_max + 1) if k < 6 or k % 2]
 
 
 def _scan_2p(lo: int, hi: int, k_max: int) -> list[SearchHit]:
-    # index i counts the pairs (k, m), k = 1..k_max and odd m^2 <= 2^k, in
-    # that order: the pairs of one k are base, base + 1, ... with m = 2j + 1
+    # index i counts the pairs of _2p_blocks(k_max), in that order: the
+    # pairs of one k are base, base + 1, ... with m = 2j + 1
     hits = []
     base = 0
-    for k in range(1, k_max + 1):
-        count = _odd_roots(k)
+    for k, count in _2p_blocks(k_max):
         jlo, jhi = max(lo - base, 0), min(hi - base, count)
         base += count
         two_k = 2**k
@@ -235,7 +236,7 @@ def _scan_2p(lo: int, hi: int, k_max: int) -> list[SearchHit]:
             if k >= 6:
                 mstar = _twist(m)
                 curve = WeierstrassModel(1, (mstar - 1) // 4, 0, 2 ** (k - 6), 0)
-                pairs = ((2, 2 * k - 12), (p, 1)) if k > 6 else ((p, 1),)
+                pairs = ((2, 2 * k - 12), (p, 1))
                 hits.append(_hit("2p", params + (("m_curve", mstar),), curve, pairs, tags))
             else:
                 hits.append(SearchHit("2p", params, tags + ("parameter-only",)))
@@ -249,9 +250,11 @@ def search_2p_family(k_max: int, *, jobs: int = 1) -> list[SearchHit]:
     (m* = +-m normalized to 1 mod 4) is attached and its conductor 2p verified;
     smaller k are reported parameter-only.  Tags record the position of k
     relative to the effective window (exact integer comparisons, no floats).
+    Only k < 6 and the odd k are tried: at an even k >= 6, 2^k - m^2 can be
+    prime only as 2^(k/2 + 1) - 1, which is 15 (mod 16).
     """
-    _check_bound("k_max", k_max, 3, 38)
-    pairs = sum(_odd_roots(k) for k in range(1, k_max + 1))
+    _check_bound("2p", k_max)
+    pairs = sum(count for _, count in _2p_blocks(k_max))
     return _run_scan(_scan_2p, 0, pairs, jobs, k_max)
 
 
@@ -296,17 +299,11 @@ def search_8p_family(p_max: int, *, jobs: int = 1) -> list[SearchHit]:
     Each match carries the quadratic-twist-normalized model (m = 1 mod 4) of
     conductor 8p; a prime can hit more than one case (p = 41 hits two).
     """
-    _check_bound("p_max", p_max, 37, 5 * 10**10)
+    _check_bound("8p", p_max)
     return _run_scan(_scan_8p_by_root, 5, math.isqrt(p_max) + 1, jobs, p_max)
 
 
 # -- conductor 2^a pq from prime powers 8 apart --------------------------------
-
-
-def _odd_prime_power(n: int, sieve: PrimeSieve) -> tuple[int, int] | None:
-    if n < 3 or n % 2 == 0:
-        return None
-    return sieve.prime_power(n)
 
 
 def _scan_4pq(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
@@ -315,13 +312,13 @@ def _scan_4pq(lo: int, hi: int, bound: int, difference: int) -> list[SearchHit]:
     two = 8 if difference == 4 else 10  # 16 difference^2 = 2^two
     hits = []
     for u in range(lo | 1, hi, 2):
-        pu = _odd_prime_power(u, sieve)
+        pu = sieve.prime_power(u)
         if pu is None:
             continue
         v = u + difference
         if v > bound:
             continue
-        qv = _odd_prime_power(v, sieve)
+        qv = sieve.prime_power(v)
         if qv is None:
             continue
         (p, alpha), (q, beta) = pu, qv
@@ -341,7 +338,7 @@ def search_4pq_family(bound: int, *, difference: int = 8, jobs: int = 1) -> list
     """Pairs of odd prime powers p^alpha < q^beta, both <= bound, that differ
     by 8 (or by 4 with difference=4), with the two models
     y^2 = x(x - s*u)(x - s*v), s = +-1, and their conductors 2^a * p * q."""
-    _check_bound("bound", bound, 11, 2 * 10**6)
+    _check_bound("4pq", bound)
     if difference not in (4, 8):
         raise ValueError("difference must be 4 or 8")
     return _run_scan(_scan_4pq, 3, bound + 1, jobs, bound, difference)
@@ -443,8 +440,20 @@ def verify_z2z4_classification(bound: int, *, jobs: int = 1) -> Z2Z4Report:
     do occur -- they are larger models of the same curves and are reported
     with their conductors, which stay inside {15, 21}.
     """
-    _check_bound("bound", bound, 21, 5 * 10**5)
+    _check_bound("z2z4", bound)
     hits = _run_scan(_scan_z2z4, 1, bound + 1, jobs)
     conductors = tuple(sorted({h.conductor for h in hits}))
     empty = not any("two-prime" in h.tags and "primitive" in h.tags for h in hits)
     return Z2Z4Report(bound, tuple(hits), conductors, empty)
+
+
+# family: (search, bound name, least bound, largest bound), each largest bound
+# the largest round one whose `cuspgate search` run finishes in about 5 s with
+# jobs=1 (2 CPUs, Python 3.11), with every sieve under 64 MB
+FAMILIES = {
+    "neumann-setzer": (search_neumann_setzer, "bound", 5, 5 * 10**11),
+    "2p": (search_2p_family, "k_max", 3, 38),
+    "8p": (search_8p_family, "p_max", 37, 5 * 10**10),
+    "4pq": (search_4pq_family, "bound", 11, 2 * 10**6),
+    "z2z4": (verify_z2z4_classification, "bound", 21, 5 * 10**5),
+}

@@ -1,5 +1,9 @@
 """Earlier forms of the scans, kept as test oracles.
 
+`searches._scan_2p` tries only the k that can hit: every k < 6 and the odd
+k >= 7.  `scan_2p_every_k` is the full walk over every k <= k_max, with
+each conductor from plain `conductor(e)`.
+
 `searches._scan_8p` enumerates odd square roots m and tests only
 p = m^2 - shift for primality.  `scan_8p_by_primes` is the form it replaced:
 every odd p in the range is tested for primality, then each case's p + shift
@@ -12,6 +16,10 @@ or more primes before listing divisors.  `scan_4pq_by_factoring` and
 candidate, and every odd c tried.
 
 Each oracle builds its hits the same way as the library, in the same order.
+
+`DOMAINS` writes out each family's bound domain, the rows of
+`searches.FAMILIES` less the search function, for the tests of the CLI and
+the library to check the messages against.
 """
 
 from __future__ import annotations
@@ -20,8 +28,40 @@ import math
 
 from cuspgate.arith import factor, is_prime, is_square
 from cuspgate.curves import WeierstrassModel
-from cuspgate.searches import _8P_CASES, SearchHit, _assert_z2z4_torsion
+from cuspgate.searches import _8P_CASES, SearchHit, _assert_z2z4_torsion, _ivorra_window
 from cuspgate.tate import conductor
+
+# (family, the name of its bound, the least bound, the largest bound), sorted
+DOMAINS = (
+    ("2p", "k_max", 3, 38),
+    ("4pq", "bound", 11, 2 * 10**6),
+    ("8p", "p_max", 37, 5 * 10**10),
+    ("neumann-setzer", "bound", 5, 5 * 10**11),
+    ("z2z4", "bound", 21, 5 * 10**5),
+)
+
+
+def scan_2p_every_k(k_max: int) -> list[SearchHit]:
+    hits = []
+    for k in range(1, k_max + 1):
+        for m in range(1, math.isqrt(2**k) + 1, 2):
+            p = 2**k - m * m
+            if p < 2 or p % 16 != 7 or not is_prime(p):
+                continue
+            if p < 29:
+                tags = ("small-p-exception",)
+            elif _ivorra_window(k, p):
+                tags = ("in-window",)
+            else:
+                tags = ("outside-window",)
+            params = (("k", k), ("m", m), ("p", p))
+            if k >= 6:
+                mstar = m if m % 4 == 1 else -m
+                e = WeierstrassModel(1, (mstar - 1) // 4, 0, 2 ** (k - 6), 0)
+                hits.append(SearchHit("2p", params + (("m_curve", mstar),), tags, e, conductor(e)))
+            else:
+                hits.append(SearchHit("2p", params, tags + ("parameter-only",)))
+    return hits
 
 
 def scan_8p_by_primes(plo: int, phi: int) -> list[SearchHit]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,13 +8,14 @@ import time
 
 import pytest
 
-from cuspgate import gates
+from cuspgate import cli, gates, searches
 from cuspgate.arith import factor
 from cuspgate.cli import main
 from cuspgate.curves import WeierstrassModel
 from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure
 from cuspgate.gates import KNOWN_ODD_NONSEMISTABLE, gate_nonsemistable, gate_squarefree
 from cuspgate.tate import conductor
+from searches_oracle import DOMAINS
 
 
 def run_cli(capsys, *argv):
@@ -464,9 +466,19 @@ def test_domain_errors_exit_1(capsys):
     assert code4 == 1 and err4.startswith("error: cannot parse transform")
 
 
+def test_search_families_match_the_pinned_domains():
+    """`searches.FAMILIES` holds the pinned domains, and `--family` offers
+    its families, sorted."""
+    assert [(f, *row[1:]) for f, row in sorted(searches.FAMILIES.items())] == list(DOMAINS)
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (family,) = [a for a in sub.choices["search"]._actions if a.dest == "family"]
+    assert list(family.choices) == sorted(searches.FAMILIES)
+
+
 @pytest.mark.parametrize(
     "family, bound, message",
-    [("neumann-setzer", "2", "bound must be at least 5"), ("8p", "30", "p_max must be at least 37")],
+    [(f, str(least - 1), f"{name} must be at least {least}") for f, name, least, _ in DOMAINS],
 )
 def test_search_bound_below_the_domain_exits_1(capsys, family, bound, message):
     code, out, err = run_cli(capsys, "search", "--family", family, "--bound", bound)
@@ -476,13 +488,7 @@ def test_search_bound_below_the_domain_exits_1(capsys, family, bound, message):
 
 @pytest.mark.parametrize(
     "family, bound, message",
-    [
-        ("neumann-setzer", "500000000001", "bound must be at most 500000000000"),
-        ("2p", "39", "k_max must be at most 38"),
-        ("8p", "50000000001", "p_max must be at most 50000000000"),
-        ("4pq", "2000001", "bound must be at most 2000000"),
-        ("z2z4", "500001", "bound must be at most 500000"),
-    ],
+    [(f, str(most + 1), f"{name} must be at most {most}") for f, name, _, most in DOMAINS],
 )
 def test_search_bound_above_the_domain_exits_1(capsys, family, bound, message):
     code, out, err = run_cli(capsys, "search", "--family", family, "--bound", bound)

@@ -41,7 +41,7 @@ i1_star = WeierstrassModel(0, 5, 0, -4, 0)
 print(outcome(tate._in_star, i1_star.coefficients(), 2, 4))
 print(outcome(tate.tate_algorithm, WeierstrassModel(0, -1, 1, -10, -20), 12))
 print(outcome(Factorization._of_proven_primes, 12, ((2, 1), (5, 1))))
-searches._odd_prime_power = lambda n, sieve: (3, 1)  # u = 3 and v = 11 both "powers of 3"
+searches.PrimeSieve.prime_power = lambda sieve, n: (3, 1)  # u = 3 and v = 11 both "powers of 3"
 print(outcome(searches._scan_4pq, 3, 4, 11, 8))
 print(outcome(is_prime, 3317044064679887385961981))
 tate._singular_point = lambda a, p: (0, 0)  # 11a1's singular point mod 11 is (5, 5)

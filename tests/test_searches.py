@@ -28,7 +28,13 @@ from cuspgate.searches import (
     verify_z2z4_classification,
 )
 from cuspgate.tate import conductor
-from searches_oracle import scan_4pq_by_factoring, scan_8p_by_primes, scan_z2z4_by_factoring
+from searches_oracle import (
+    DOMAINS,
+    scan_2p_every_k,
+    scan_4pq_by_factoring,
+    scan_8p_by_primes,
+    scan_z2z4_by_factoring,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -116,13 +122,29 @@ def test_2p_family_window_flags():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 22), st.lists(st.integers(0, 4000), max_size=6))
 def test_2p_pair_index_pieces_join_to_the_whole(k_max, cuts):
-    """The 2p range counts (k, m) pairs; any cut of it gives pieces whose
-    hits join, in order, into the whole scan's."""
-    pairs = sum(searches._odd_roots(k) for k in range(1, k_max + 1))
-    assert pairs == sum(len(range(1, math.isqrt(2**k) + 1, 2)) for k in range(1, k_max + 1))
+    """The 2p range counts the (k, m) pairs of every k < 6 and the odd k;
+    any cut of it gives pieces whose hits join, in order, into the whole
+    scan's."""
+    ks = [k for k in range(1, k_max + 1) if k < 6 or k % 2 == 1]
+    blocks = searches._2p_blocks(k_max)
+    assert [k for k, _ in blocks] == ks
+    pairs = sum(count for _, count in blocks)
+    assert pairs == sum(len(range(1, math.isqrt(2**k) + 1, 2)) for k in ks)
     ends = sorted({0, pairs, *(c % (pairs + 1) for c in cuts)})
     joined = [h for a, b in zip(ends, ends[1:]) for h in searches._scan_2p(a, b, k_max)]
     assert joined == search_2p_family(k_max)
+
+
+def test_2p_matches_the_every_k_oracle():
+    """Walking only k < 6 and the odd k loses no hit: the walk over every k
+    gives the same hits for each k_max up to 30, and its one even-k hit is
+    k = 4, m = 3, p = 7."""
+    for k_max in range(3, 31):
+        assert search_2p_family(k_max) == scan_2p_every_k(k_max), k_max
+    every = scan_2p_every_k(30)
+    assert len(every) == 2383
+    rows = [tuple(h.params_dict()[x] for x in ("k", "m", "p")) for h in every]
+    assert [row for row in rows if row[0] % 2 == 0] == [(4, 3, 7)]
 
 
 def test_8p_family_frozen():
@@ -398,20 +420,6 @@ def test_hit_conductors_run_the_loop_only_where_c4_is_divisible(monkeypatch, fam
     assert calls == [(h.curve, p) for h in curved for p in LOOP_PRIMES[family]]
 
 
-def test_2p_closed_form_drops_the_power_of_two_at_k6(monkeypatch):
-    """No k = 6 pair gives a prime (2^6 - m^2 is 63, 55, 39 or 15), so with
-    primality faked the k = 6 curves show |disc| = p: the pairs are (p, 1)
-    alone, and the product check in `_hit` passes."""
-    pairs = sum(searches._odd_roots(k) for k in range(1, 7))
-    assert all(h.params_dict()["k"] < 6 for h in searches._scan_2p(0, pairs, 6))
-    handed = []
-    monkeypatch.setattr(searches, "is_prime", lambda p: p in (55, 39))
-    monkeypatch.setattr(searches, "_conductor", lambda curve, disc: handed.append(disc) or 0)
-    hits = searches._scan_2p(0, pairs, 6)
-    assert [h.params_dict()["k"] for h in hits] == [6, 6]
-    assert [d.pairs for d in handed] == [((55, 1),), ((39, 1),)]
-
-
 def test_hit_refuses_pairs_that_miss_the_discriminant():
     e = WeierstrassModel(0, 1, 0, -1, 0)  # the m = 1 Neumann-Setzer curve, |disc| = 2^4 * 5
     assert searches._hit("neumann-setzer", (), e, ((2, 4), (5, 1))).conductor == 20
@@ -433,23 +441,17 @@ def test_z2z4_validation():
         verify_z2z4_classification(10)
 
 
-# each search's declared maximum, the largest bound it accepts
-MAXIMA = {
-    "neumann-setzer": (search_neumann_setzer, "bound", 5 * 10**11),
-    "2p": (search_2p_family, "k_max", 38),
-    "8p": (search_8p_family, "p_max", 5 * 10**10),
-    "4pq": (search_4pq_family, "bound", 2 * 10**6),
-    "z2z4": (verify_z2z4_classification, "bound", 5 * 10**5),
-}
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("family", sorted(MAXIMA))
-def test_bound_past_the_maximum_is_refused_before_any_work(monkeypatch, family, jobs):
+@pytest.mark.parametrize(
+    "family, name, most",
+    [(f, name, most) for f, name, _, most in DOMAINS],
+    ids=[f for f, *_ in DOMAINS],
+)
+def test_bound_past_the_maximum_is_refused_before_any_work(monkeypatch, family, name, most, jobs):
     """One past the maximum raises ValueError before a sieve, a pool or a
     scan starts, and allocates next to nothing (z2z4 at 10^9 would have
     asked for a 16 GB sieve)."""
-    search, name, most = MAXIMA[family]
+    search = searches.FAMILIES[family][0]
     for attr in ("PrimeSieve", "_run_scan", "_pool"):
         monkeypatch.setattr(searches, attr, lambda *a, **k: pytest.fail("work started"))
     tracemalloc.start()
