@@ -447,9 +447,9 @@ def verify_z2z4_classification(bound: int, *, jobs: int = 1) -> Z2Z4Report:
     return Z2Z4Report(bound, tuple(hits), conductors, empty)
 
 
-# family: (search, bound name, least bound, largest bound), each largest bound
-# the largest round one whose `cuspgate search` run finishes in about 5 s with
-# jobs=1 (2 CPUs, Python 3.11), with every sieve under 64 MB
+# family -> (search, bound name, least bound, largest bound).  A largest bound
+# is the largest round one whose `cuspgate search` run finishes in about 5 s
+# with jobs=1 (2 CPUs, Python 3.11), with every sieve under 64 MB.
 FAMILIES = {
     "neumann-setzer": (search_neumann_setzer, "bound", 5, 5 * 10**11),
     "2p": (search_2p_family, "k_max", 3, 38),
