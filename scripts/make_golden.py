@@ -46,15 +46,21 @@ with jobs=1, and 4pq at difference 8 and at difference 4 (SEARCH_CORPUS).
 The cusps lines are every square-free N < 3000, then 30030 and 255255.
 The divisors lines are every square-free N < 1000, then 30030.
 The signs lines are every square-free N < 1000, then 30030 and 9699690.
-`tests/test_golden.py` replays every line in-process.  The corpus is written
-once from a tree whose output is trusted; a change that alters a line
-regenerates it and says which lines changed and why.
+
+This script is the only writer of corpus lines: one builder per line kind
+(tate_line, local_line, search_lines, cusp_line, divisor_lines, sign_line).
+`tests/test_golden.py` loads it by path, rebuilds the four corpora of the
+CORPORA table in full and compares them with the committed files; tate.txt,
+whose cases are seeded random draws, it replays from its own lines through
+tate_line and local_line.  The corpus is written once from a tree whose
+output is trusted; a change that alters a line regenerates it and says
+which lines changed and why.
 """
 
 import dataclasses
 import random
 import sys
-from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from cuspgate import searches
@@ -131,56 +137,70 @@ def search_curves():
     return curves
 
 
-def search_lines():
-    """One line per hit of each search in SEARCH_CORPUS, run with jobs=1."""
-    lines = []
-    for name, bound, kwargs in SEARCH_CORPUS:
-        found = getattr(searches, name)(bound, jobs=1, **kwargs)
-        reprs = [repr(hit) for hit in getattr(found, "hits", found)]
-        if dataclasses.is_dataclass(found):  # the z2z4 report, less its hits
-            reprs.append(repr(dataclasses.replace(found, hits=())))
-        lines += [f"search\t{name}\t{bound}\t{kwargs!r}\t{r}" for r in reprs]
-    return lines
+def tate_line(coeffs, p) -> str:
+    """The tate line of the model with these coefficients at p."""
+    return f"tate\t{coeffs!r}\t{p}\t{tate_algorithm(WeierstrassModel(*coeffs), p)!r}"
 
 
-def cusp_lines():
-    """One line per level of CUSP_LEVELS: N and its cuspidal group."""
-    return [f"{n}\t{cuspidal_group_structure(SquarefreeLevel.of(n))!r}" for n in CUSP_LEVELS]
+def local_line(coeffs) -> str:
+    """The local line of the model with these coefficients."""
+    return f"local\t{coeffs!r}\t{list(_local_data(WeierstrassModel(*coeffs)))!r}"
+
+
+def search_lines(name, bound, kwargs) -> list[str]:
+    """One line per hit of searches.<name>(bound, **kwargs), run with jobs=1."""
+    found = getattr(searches, name)(bound, jobs=1, **kwargs)
+    reprs = [repr(hit) for hit in getattr(found, "hits", found)]
+    if dataclasses.is_dataclass(found):  # the z2z4 report, less its hits
+        reprs.append(repr(dataclasses.replace(found, hits=())))
+    return [f"search\t{name}\t{bound}\t{kwargs!r}\t{r}" for r in reprs]
+
+
+def cusp_line(n) -> str:
+    """N and its cuspidal group."""
+    return f"{n}\t{cuspidal_group_structure(SquarefreeLevel.of(n))!r}"
 
 
 def _divisor(v, level) -> str:
-    assert v.level == level
+    """Class name and coefficients; the level must be the line's and every
+    coefficient a Fraction."""
+    if v.level != level or not all(type(c) is Fraction for c in v.coeffs):
+        raise AssertionError(f"{v!r} is not a divisor at level {level.n} with Fraction coefficients")
     return f"{type(v).__name__}[{' '.join(map(str, v.coeffs))}]"
 
 
-def divisor_lines():
-    """One line per (N, admissible signs) over DIVISOR_LEVELS: the sign
-    divisor, its order, its eta preimage, Ligozat's verdict, and the
-    preimage's divisor."""
+def divisor_lines(n) -> list[str]:
+    """One line per admissible sign assignment of N: the sign divisor, its
+    order, its eta preimage, Ligozat's verdict, and the preimage's divisor."""
+    level = SquarefreeLevel.of(n)
     lines = []
-    for n in DIVISOR_LEVELS:
-        level = SquarefreeLevel.of(n)
-        for a in admissible_sign_assignments(level):
-            w = sign_divisor(level, {p: -b for p, b in zip(level.primes, a.signs)})
-            order = divisor_order(w)
-            u = lambda_inverse(order * w)
-            fields = (_divisor(w, level), repr(order), _divisor(u, level),
-                      repr(ligozat_check(u)), _divisor(divisor_of_eta_quotient(u), level))
-            lines.append("\t".join((str(n), repr(a.signs)) + fields))
+    for a in admissible_sign_assignments(level):
+        w = sign_divisor(level, {p: -b for p, b in zip(level.primes, a.signs)})
+        order = divisor_order(w)
+        u = lambda_inverse(order * w)
+        fields = (_divisor(w, level), repr(order), _divisor(u, level),
+                  repr(ligozat_check(u)), _divisor(divisor_of_eta_quotient(u), level))
+        lines.append("\t".join((str(n), repr(a.signs)) + fields))
     return lines
 
 
-def sign_lines():
-    """One line per level of SIGN_LEVELS: the admissible sign assignments
-    without and with the composite rule, and the r whose w_r fixes a point."""
-    lines = []
-    for n in SIGN_LEVELS:
-        level = SquarefreeLevel.of(n)
-        plain, composite = (tuple(a.signs for a in admissible_sign_assignments(level, composite_rule=rule))
-                            for rule in (False, True))
-        fixed = tuple(r for r in level.divisors if al_fixed_point_exists(ALElement(level, r)))
-        lines.append(f"{n}\t{plain!r}\t{composite!r}\t{fixed!r}")
-    return lines
+def sign_line(n) -> str:
+    """The admissible sign assignments of N without and with the composite
+    rule, and the r whose w_r fixes a point."""
+    level = SquarefreeLevel.of(n)
+    plain, composite = (tuple(a.signs for a in admissible_sign_assignments(level, composite_rule=rule))
+                        for rule in (False, True))
+    fixed = tuple(r for r in level.divisors if al_fixed_point_exists(ALElement(level, r)))
+    return f"{n}\t{plain!r}\t{composite!r}\t{fixed!r}"
+
+
+# The corpora whose inputs are fixed lists: file name -> every line, in order.
+CORPORA = {
+    "searches.txt": lambda: [line for case in SEARCH_CORPUS for line in search_lines(*case)],
+    "cusps.txt": lambda: [cusp_line(n) for n in CUSP_LEVELS],
+    "divisors.txt": lambda: [line for n in DIVISOR_LEVELS for line in divisor_lines(n)],
+    "signs.txt": lambda: [sign_line(n) for n in SIGN_LEVELS],
+}
 
 
 def _write(path: Path, lines: list[str]) -> None:
@@ -192,20 +212,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out = Path(argv[0]) if argv else OUT
     out.mkdir(parents=True, exist_ok=True)
-    lines, kinds = [], Counter()
-    for coeffs, p in tate_cases(random.Random(SEED), COUNT):
-        res = tate_algorithm(WeierstrassModel(*coeffs), p)
-        kinds[res.kodaira if res.minimal else "not minimal"] += 1
-        lines.append(f"tate\t{coeffs!r}\t{p}\t{res!r}")
-    curves = search_curves()
-    for coeffs in curves:
-        lines.append(f"local\t{coeffs!r}\t{list(_local_data(WeierstrassModel(*coeffs)))!r}")
-    _write(out / "tate.txt", lines)
-    print(f"{len(curves)} search curves; " + " ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
-    _write(out / "searches.txt", search_lines())
-    _write(out / "cusps.txt", cusp_lines())
-    _write(out / "divisors.txt", divisor_lines())
-    _write(out / "signs.txt", sign_lines())
+    tate = [tate_line(coeffs, p) for coeffs, p in tate_cases(random.Random(SEED), COUNT)]
+    _write(out / "tate.txt", tate + [local_line(coeffs) for coeffs in search_curves()])
+    for name, build in CORPORA.items():
+        _write(out / name, build())
     return 0
 
 

@@ -244,6 +244,8 @@ def _hit_dict(h) -> dict:
 def _cmd_search(args):
     from .searches import FAMILIES
 
+    if args.family != "4pq" and args.difference != 8:
+        raise ValueError("--difference applies only to --family 4pq")
     extra = {"difference": args.difference} if args.family == "4pq" else {}
     out = FAMILIES[args.family][0](args.bound, jobs=args.jobs, **extra)
     if args.family == "z2z4":

@@ -408,6 +408,21 @@ def test_search_csv(capsys):
     assert "m=3;m_curve=-3;p=13" in lines[2]
 
 
+def test_search_4pq_difference_4(capsys):
+    doc = run_json(capsys, "search", "--family", "4pq", "--bound", "200", "--difference", "4")
+    hits = searches.search_4pq_family(200, difference=4)
+    assert hits != searches.search_4pq_family(200)
+    assert doc["input"]["difference"] == 4
+    assert [(h["params"], h["curve"], h["conductor"]) for h in doc["result"]] == [
+        (dict(h.params), list(h.curve.coefficients()), h.conductor) for h in hits
+    ]
+
+
+def test_search_difference_outside_4pq_exits_1(capsys):
+    argv = ["search", "--family", "neumann-setzer", "--bound", "30", "--difference", "4"]
+    assert run_cli(capsys, *argv) == (1, "", "error: --difference applies only to --family 4pq\n")
+
+
 def test_reruns_are_byte_identical(capsys):
     first = run_cli(capsys, "search", "--family", "2p", "--bound", "12")
     second = run_cli(capsys, "search", "--family", "2p", "--bound", "12")

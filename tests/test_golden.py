@@ -1,21 +1,15 @@
-"""Replay the golden corpora, in-process.
+"""Compare the golden corpora in tests/golden/ with what `scripts/make_golden.py`
+writes, in-process.
 
-`scripts/make_golden.py` wrote tests/golden/tate.txt: seeded (model, p)
-cases and the local data of the family-search curves, one repr a line.  It
-also wrote tests/golden/searches.txt: every hit of the five searches at
-perfbench's full scan bounds, one repr a line, and tests/golden/cusps.txt:
-the cuspidal group of every square-free N < 3000, of 30030 and of 255255.
-tests/golden/divisors.txt holds, for every square-free N < 1000 and 30030
-and every admissible sign assignment, the sign divisor, its order, the eta
-preimage of its multiple by that order, Ligozat's verdict and the
-preimage's divisor.  tests/golden/signs.txt holds, for every square-free
-N < 1000, 30030 and 9699690, the admissible sign assignments without and
-with the composite rule and the r whose w_r fixes a point.  Every line must
-come out byte-identical; the first that differs is named.
+The script is the only writer of corpus lines, and its module docstring
+describes the five files and their line formats.  The four corpora of its
+CORPORA table are rebuilt in full; tate.txt, whose cases are seeded random
+draws, replays from its own lines through tate_line and local_line.  Every
+line must come out byte-identical; the first that differs is named.
 """
 
 import ast
-import dataclasses
+import importlib.util
 import itertools
 import math
 import re
@@ -23,117 +17,51 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from cuspgate import searches
-from cuspgate.atkin_lehner import ALElement, admissible_sign_assignments, al_fixed_point_exists, sign_divisor
-from cuspgate.cusps import SquarefreeLevel, cuspidal_group_structure, divisor_order, lambda_inverse
 from cuspgate.curves import Transform, WeierstrassModel, apply_transform
-from cuspgate.eta import divisor_of_eta_quotient, ligozat_check
-from cuspgate.tate import _local_data, conductor, tate_algorithm
+from cuspgate.tate import _local_data, conductor
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "tate.txt"
-SEARCHES = GOLDEN.with_name("searches.txt")
-CUSPS = GOLDEN.with_name("cusps.txt")
-DIVISORS = GOLDEN.with_name("divisors.txt")
-SIGNS = GOLDEN.with_name("signs.txt")
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).resolve().parent.parent / "scripts" / "make_golden.py"
+)
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+GOLDEN = make_golden.OUT / "tate.txt"
+SEARCHES = make_golden.OUT / "searches.txt"
 
 
-def _replay(line: str) -> str:
-    kind, coeffs, *rest = line.split("\t")
-    e = WeierstrassModel(*ast.literal_eval(coeffs))
-    if kind == "tate":
-        p, _ = rest
-        return "\t".join((kind, coeffs, p, repr(tate_algorithm(e, int(p)))))
-    assert kind == "local", kind
-    return "\t".join((kind, coeffs, repr(list(_local_data(e)))))
+def _assert_rebuilt(name: str, build) -> None:
+    """build() gives every line of tests/golden/<name>, within 5 s."""
+    want = (make_golden.OUT / name).read_text().splitlines()
+    start = time.perf_counter()
+    got = build()
+    for number, (line, have) in enumerate(itertools.zip_longest(want, got), 1):
+        assert have == line, f"{name} line {number} differs:\nwant {line}\ngot  {have}"
+    assert time.perf_counter() - start < 5
 
 
 def test_golden_tate_corpus_replays_unchanged():
-    lines = GOLDEN.read_text().splitlines()
-    kinds = {line.split("\t", 1)[0] for line in lines}
-    assert len(lines) > 1000 and kinds == {"tate", "local"}
-    start = time.perf_counter()
-    for number, line in enumerate(lines, 1):
-        got = _replay(line)
-        assert got == line, f"{GOLDEN.name} line {number} differs:\nwant {line}\ngot  {got}"
-    assert time.perf_counter() - start < 5
-
-
-def _search_lines(name: str, bound: str, kwargs: str) -> list[str]:
-    found = getattr(searches, name)(int(bound), jobs=1, **ast.literal_eval(kwargs))
-    reprs = [repr(hit) for hit in getattr(found, "hits", found)]
-    if dataclasses.is_dataclass(found):  # the z2z4 report, less its hits
-        reprs.append(repr(dataclasses.replace(found, hits=())))
-    return ["\t".join(("search", name, bound, kwargs, r)) for r in reprs]
+    fields = [line.split("\t") for line in GOLDEN.read_text().splitlines()]
+    assert len(fields) > 1000 and {kind for kind, *_ in fields} == {"tate", "local"}
+    builders = {"tate": make_golden.tate_line, "local": make_golden.local_line}
+    # a tate line holds coefficients, p and a repr; a local line coefficients and a repr
+    _assert_rebuilt(GOLDEN.name, lambda: [builders[kind](ast.literal_eval(coeffs), *map(int, p))
+                                          for kind, coeffs, *p, _ in fields])
 
 
 def test_golden_search_corpus_replays_unchanged():
-    lines = SEARCHES.read_text().splitlines()
-    assert len(lines) > 2000 and {line.split("\t", 1)[0] for line in lines} == {"search"}
-    start = time.perf_counter()
-    got = []
-    # one run per (function, bound, keyword arguments), in the file's order
-    for key, _ in itertools.groupby(lines, key=lambda line: tuple(line.split("\t")[1:4])):
-        got += _search_lines(*key)
-    for number, (want, have) in enumerate(itertools.zip_longest(lines, got), 1):
-        assert have == want, f"{SEARCHES.name} line {number} differs:\nwant {want}\ngot  {have}"
-    assert time.perf_counter() - start < 5
+    _assert_rebuilt("searches.txt", make_golden.CORPORA["searches.txt"])
 
 
 def test_golden_cusp_corpus_replays_unchanged():
-    lines = CUSPS.read_text().splitlines()
-    assert len(lines) == 1825 and lines[-1].startswith("255255\t")
-    start = time.perf_counter()
-    for number, line in enumerate(lines, 1):
-        n = line.split("\t", 1)[0]
-        got = f"{n}\t{cuspidal_group_structure(SquarefreeLevel.of(int(n)))!r}"
-        assert got == line, f"{CUSPS.name} line {number} differs:\nwant {line}\ngot  {got}"
-    assert time.perf_counter() - start < 5
-
-
-def _divisor(v, level) -> str:
-    """Class name and coefficients; the level must be the line's."""
-    assert v.level == level and all(type(c) is Fraction for c in v.coeffs)
-    return f"{type(v).__name__}[{' '.join(map(str, v.coeffs))}]"
-
-
-def _divisor_lines(n: int) -> list[str]:
-    level = SquarefreeLevel.of(n)
-    lines = []
-    for a in admissible_sign_assignments(level):
-        w = sign_divisor(level, {p: -b for p, b in zip(level.primes, a.signs)})
-        order = divisor_order(w)
-        u = lambda_inverse(order * w)
-        fields = (_divisor(w, level), repr(order), _divisor(u, level),
-                  repr(ligozat_check(u)), _divisor(divisor_of_eta_quotient(u), level))
-        lines.append("\t".join((str(n), repr(a.signs)) + fields))
-    return lines
+    _assert_rebuilt("cusps.txt", make_golden.CORPORA["cusps.txt"])
 
 
 def test_golden_divisor_corpus_replays_unchanged():
-    lines = DIVISORS.read_text().splitlines()
-    assert len(lines) == 669 and lines[-1].startswith("30030\t")
-    start = time.perf_counter()
-    got = []
-    # every admissible assignment of each level, in the file's order
-    for n, _ in itertools.groupby(lines, key=lambda line: line.split("\t", 1)[0]):
-        got += _divisor_lines(int(n))
-    for number, (want, have) in enumerate(itertools.zip_longest(lines, got), 1):
-        assert have == want, f"{DIVISORS.name} line {number} differs:\nwant {want}\ngot  {have}"
-    assert time.perf_counter() - start < 5
+    _assert_rebuilt("divisors.txt", make_golden.CORPORA["divisors.txt"])
 
 
 def test_golden_sign_corpus_replays_unchanged():
-    lines = SIGNS.read_text().splitlines()
-    assert len(lines) == 609 and lines[-1].startswith("9699690\t")
-    start = time.perf_counter()
-    for number, line in enumerate(lines, 1):
-        level = SquarefreeLevel.of(int(line.split("\t", 1)[0]))
-        plain, composite = (tuple(a.signs for a in admissible_sign_assignments(level, composite_rule=rule))
-                            for rule in (False, True))
-        fixed = tuple(r for r in level.divisors if al_fixed_point_exists(ALElement(level, r)))
-        got = f"{level.n}\t{plain!r}\t{composite!r}\t{fixed!r}"
-        assert got == line, f"{SIGNS.name} line {number} differs:\nwant {line}\ngot  {got}"
-    assert time.perf_counter() - start < 5
+    _assert_rebuilt("signs.txt", make_golden.CORPORA["signs.txt"])
 
 
 def _corpus_curves() -> list[tuple]:
