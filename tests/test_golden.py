@@ -29,14 +29,15 @@ GOLDEN = make_golden.OUT / "tate.txt"
 SEARCHES = make_golden.OUT / "searches.txt"
 
 
-def _assert_rebuilt(name: str, build) -> None:
-    """build() gives every line of tests/golden/<name>, within 5 s."""
+def _assert_rebuilt(name: str, build) -> list[str]:
+    """build() gives every line of tests/golden/<name>, within 5 s; returns those lines."""
     want = (make_golden.OUT / name).read_text().splitlines()
     start = time.perf_counter()
     got = build()
     for number, (line, have) in enumerate(itertools.zip_longest(want, got), 1):
         assert have == line, f"{name} line {number} differs:\nwant {line}\ngot  {have}"
     assert time.perf_counter() - start < 5
+    return want
 
 
 def test_golden_tate_corpus_replays_unchanged():
@@ -49,19 +50,23 @@ def test_golden_tate_corpus_replays_unchanged():
 
 
 def test_golden_search_corpus_replays_unchanged():
-    _assert_rebuilt("searches.txt", make_golden.CORPORA["searches.txt"])
+    lines = _assert_rebuilt("searches.txt", make_golden.CORPORA["searches.txt"])
+    assert len(lines) > 2000 and {line.split("\t", 1)[0] for line in lines} == {"search"}
 
 
 def test_golden_cusp_corpus_replays_unchanged():
-    _assert_rebuilt("cusps.txt", make_golden.CORPORA["cusps.txt"])
+    lines = _assert_rebuilt("cusps.txt", make_golden.CORPORA["cusps.txt"])
+    assert len(lines) == 1825 and lines[-1].startswith("255255\t")
 
 
 def test_golden_divisor_corpus_replays_unchanged():
-    _assert_rebuilt("divisors.txt", make_golden.CORPORA["divisors.txt"])
+    lines = _assert_rebuilt("divisors.txt", make_golden.CORPORA["divisors.txt"])
+    assert len(lines) == 669 and lines[-1].startswith("30030\t")
 
 
 def test_golden_sign_corpus_replays_unchanged():
-    _assert_rebuilt("signs.txt", make_golden.CORPORA["signs.txt"])
+    lines = _assert_rebuilt("signs.txt", make_golden.CORPORA["signs.txt"])
+    assert len(lines) == 609 and lines[-1].startswith("9699690\t")
 
 
 def _corpus_curves() -> list[tuple]:
